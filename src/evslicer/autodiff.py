@@ -15,15 +15,16 @@ without garbage-collector sweeps.
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 __all__ = [
-    "Tensor", "ShapeError", "no_grad", "is_grad_enabled",
+    "Tensor", "ShapeError", "no_grad",
     "conv2d", "avg_pool", "adaptive_avg_pool", "group_norm", "linear",
     "lincomb", "affine", "spike", "SGD",
-    "save_named_tensors", "load_named_tensors",
+    "save_named_tensors", "load_named_tensors", "CheckpointError",
     "CHECKPOINT_MAGIC", "CHECKPOINT_VERSION",
 ]
 
@@ -48,10 +49,6 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
-
-
-def is_grad_enabled():
-    return _grad_enabled
 
 
 def _unbroadcast(grad, shape):
@@ -99,9 +96,6 @@ class Tensor:
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    def detach(self):
-        return Tensor(self.data.copy())
 
     def zero_grad(self):
         self.grad = None
@@ -627,6 +621,10 @@ CHECKPOINT_MAGIC = b"SSLC"
 CHECKPOINT_VERSION = 1
 
 
+class CheckpointError(ValueError):
+    """Raised when a checkpoint container or its sidecar is malformed."""
+
+
 def save_named_tensors(path, named):
     """Write an ordered {name: array} mapping to the flat binary container.
 
@@ -650,29 +648,37 @@ def save_named_tensors(path, named):
 
 
 def load_named_tensors(path):
-    """Read the container written by save_named_tensors; returns {name: array}."""
+    """Read the container written by save_named_tensors; returns {name: array}.
+    Raises CheckpointError unless it holds whole records with distinct names."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
+        blob = memoryview(fh.read())
+    offset = 0
+
+    def take(n, what):
+        nonlocal offset
+        if n > len(blob) - offset:
+            raise CheckpointError(f"{path}: truncated {what} at byte {offset}: "
+                                  f"needs {n} bytes, {len(blob) - offset} remain")
+        offset += n
+        return blob[offset - n:offset]
+
+    magic = bytes(take(4, "magic"))
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+    (version,) = struct.unpack("<I", take(4, "version"))
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported container version {version}")
-    offset = 8
+        raise CheckpointError(f"{path}: unsupported container version {version}")
     named = {}
     while offset < len(blob):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        extents = struct.unpack_from(f"<{rank}Q", blob, offset) if rank else ()
-        offset += 8 * rank
-        count = 1
-        for e in extents:
-            count *= e
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(extents)
-        offset += 8 * count
-        named[name] = arr.astype(np.float64)
+        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        try:
+            name = bytes(take(name_len, "name")).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: tensor name before byte {offset} is not utf-8") from None
+        if name in named:
+            raise CheckpointError(f"{path}: duplicate tensor {name!r}")
+        (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
+        extents = struct.unpack(f"<{rank}Q", take(8 * rank, f"extents of {name!r}"))
+        data = take(8 * math.prod(extents), f"values of {name!r}")
+        named[name] = np.frombuffer(data, dtype="<f8").reshape(extents).astype(np.float64)
     return named

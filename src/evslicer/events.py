@@ -184,8 +184,10 @@ def render(group, kind="frame", n_bins=2, tau_us=None):
     voxel:        (n_bins, 2, H, W) counts spread bilinearly across the time
                   axis of the group's own interval; total mass = event count.
     time_surface: (2, H, W) exp(-(t_end - t_last)/tau) of the most recent
-                  event per pixel/polarity; tau defaults to 4x the interval
-                  can't know the cell size, so callers pass tau for cells.
+                  event per pixel/polarity; tau defaults to 4x the group's
+                  own interval. A group does not know the cell size, so
+                  callers that want tau tied to cells (4 cells in the
+                  slicer) pass tau_us.
     """
     stream = group.stream
     h, w = stream.height, stream.width

@@ -18,9 +18,8 @@ differentiable classifier over rendered frames, supporting finetune).
 """
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .snn import DEFAULT_ARCH, SlicerNet, first_spike_index
 __all__ = [
     "EvalContext", "OracleFeedback", "ScriptedOracle", "DensityTargetOracle",
     "ToyClassifierOracle", "neighborhood_search", "cosine_lr",
-    "DivergenceError", "ArenaConfig", "ArenaResult", "train_arena",
+    "DivergenceError", "OracleError", "ArenaConfig", "ArenaResult", "train_arena",
     "FeedbackConfig", "FeedbackResult", "train_feedback", "replay_alpha",
     "sliced_dataset", "compare_policies",
 ]
@@ -44,11 +43,31 @@ class DivergenceError(RuntimeError):
     """Raised when a training loss stops being finite."""
 
 
+class OracleError(RuntimeError):
+    """Raised by an oracle that cannot score a candidate; train_feedback
+    skips the sample. Any other exception from an oracle propagates."""
+
+
 def cosine_lr(base, step, total):
     """Half-cosine decay from base to 0 over `total` steps."""
     if total <= 0:
         return base
     return base * 0.5 * (1.0 + np.cos(np.pi * min(step, total) / total))
+
+
+def _supervised_step(net, opt, cfg, record, n_star, alpha, step, total, unit):
+    """One timing-loss SGD step towards firing at n_star: loss, finiteness
+    check, backward, scheduled learning rate. Returns (parts, loss, lr)."""
+    parts = timing_loss(record, n_star, alpha, net.neuron)
+    loss_val = parts.mem + parts.ramp
+    if not np.isfinite(loss_val):
+        raise DivergenceError(f"non-finite loss at {unit} {step}: mem={parts.mem} "
+                              f"ramp={parts.ramp} alpha={alpha}")
+    opt.zero_grad()
+    parts.total.backward()
+    lr_t = cosine_lr(cfg.lr, step, total) if cfg.lr_schedule == "cosine" else cfg.lr
+    opt.step(lr_t)
+    return parts, loss_val, lr_t
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +88,6 @@ class EvalContext:
 class ScriptedOracle:
     """Loss values scripted per candidate right edge — deterministic tests."""
 
-    is_pure = True
-
     def __init__(self, losses_by_edge):
         self.losses_by_edge = dict(losses_by_edge)
 
@@ -80,8 +97,6 @@ class ScriptedOracle:
 
 class DensityTargetOracle:
     """Prefers slices holding target_events events: loss |n_events - K|."""
-
-    is_pure = True
 
     def __init__(self, target_events):
         if target_events <= 0:
@@ -101,12 +116,9 @@ class ToyClassifierOracle:
     depend on slice length.
     """
 
-    is_pure = True
-
     def __init__(self, in_shape, n_classes=2, hidden=16, lr=0.05, seed=0):
         rng = np.random.Generator(np.random.PCG64(seed))
         in_features = int(np.prod(in_shape))
-        self.in_shape = tuple(in_shape)
         self.n_classes = int(n_classes)
         self.lr = float(lr)
         scale1 = 1.0 / np.sqrt(in_features)
@@ -273,7 +285,7 @@ def build_arena_net(cfg):
                      input_scale=cfg.input_scale)
 
 
-def train_arena(net, cfg, log_path=None):
+def train_arena(net, cfg):
     """Teach the net to fire at a prescribed step.
 
     Convergence = the actual first spike lands on the true target for
@@ -292,56 +304,40 @@ def train_arena(net, cfg, log_path=None):
     alpha = cfg.alpha0
     opt = SGD(net.parameters(), cfg.lr)
     history = []
-    writer = open(log_path, "w") if log_path else None
     run = 0
     converged_at = None
     t_begin = time.perf_counter()
-    try:
-        for i in range(cfg.max_iters):
-            if cfg.task == "arena-ii":
-                fresh = rng.poisson(cfg.cell_rate, (c, h, w)).astype(np.float64)
-                cells_seq = np.repeat(fresh[None], cfg.n_steps, axis=0)
-                supervised = n_star
-                if rng.random() < cfg.noise_prob:
-                    supervised = int((n_star + 1 + rng.integers(0, cfg.n_steps - 1)) % cfg.n_steps)
-            else:
-                cells_seq = fixed_cells
-                supervised = n_star
-            record = net.forward(cells_seq)
-            parts = timing_loss(record, supervised, alpha, net.neuron)
-            loss_val = parts.mem + parts.ramp
-            if not np.isfinite(loss_val):
-                raise DivergenceError(
-                    f"non-finite loss at iteration {i}: mem={parts.mem} "
-                    f"ramp={parts.ramp} alpha={alpha}"
-                )
-            opt.zero_grad()
-            parts.total.backward()
-            lr_t = cosine_lr(cfg.lr, i, cfg.max_iters) if cfg.lr_schedule == "cosine" else cfg.lr
-            opt.step(lr_t)
-            n_c_eff = parts.n_c if parts.n_c is not None else len(record)
-            alpha = update_alpha(alpha, [(supervised, n_c_eff)], cfg.eta)
-            hit = parts.n_c == n_star
-            run = run + 1 if hit else 0
-            entry = {
-                "iter": i, "loss": loss_val, "loss_mem": parts.mem,
-                "loss_la": parts.ramp, "alpha": alpha,
-                "pairs": [[supervised, n_c_eff]], "n_c": parts.n_c,
-                "n_star": n_star, "supervised": supervised,
-                "no_spike": parts.no_spike, "hit": hit, "lr": lr_t,
-                "converged": False,
-            }
-            if run >= cfg.streak:
-                converged_at = i - cfg.streak + 1
-                entry["converged"] = True
-            history.append(entry)
-            if writer:
-                writer.write(json.dumps(entry) + "\n")
-            if converged_at is not None:
-                break
-    finally:
-        if writer:
-            writer.close()
+    for i in range(cfg.max_iters):
+        if cfg.task == "arena-ii":
+            fresh = rng.poisson(cfg.cell_rate, (c, h, w)).astype(np.float64)
+            cells_seq = np.repeat(fresh[None], cfg.n_steps, axis=0)
+            supervised = n_star
+            if rng.random() < cfg.noise_prob:
+                supervised = int((n_star + 1 + rng.integers(0, cfg.n_steps - 1)) % cfg.n_steps)
+        else:
+            cells_seq = fixed_cells
+            supervised = n_star
+        record = net.forward(cells_seq)
+        parts, loss_val, lr_t = _supervised_step(net, opt, cfg, record, supervised, alpha,
+                                                 i, cfg.max_iters, "iteration")
+        n_c_eff = parts.n_c if parts.n_c is not None else len(record)
+        alpha = update_alpha(alpha, [(supervised, n_c_eff)], cfg.eta)
+        hit = parts.n_c == n_star
+        run = run + 1 if hit else 0
+        entry = {
+            "iter": i, "loss": loss_val, "loss_mem": parts.mem,
+            "loss_la": parts.ramp, "alpha": alpha,
+            "pairs": [[supervised, n_c_eff]], "n_c": parts.n_c,
+            "n_star": n_star, "supervised": supervised,
+            "no_spike": parts.no_spike, "hit": hit, "lr": lr_t,
+            "converged": False,
+        }
+        if run >= cfg.streak:
+            converged_at = i - cfg.streak + 1
+            entry["converged"] = True
+        history.append(entry)
+        if converged_at is not None:
+            break
     return ArenaResult(converged_at=converged_at, iterations=len(history),
                        n_star=n_star, alpha_final=alpha,
                        elapsed_s=time.perf_counter() - t_begin, history=history)
@@ -397,7 +393,7 @@ def _with_labels(data):
     return [(s, None) if isinstance(s, EventStream) else (s[0], s[1]) for s in data]
 
 
-def train_feedback(net, oracle, data, cfg, log_path=None):
+def train_feedback(net, oracle, data, cfg):
     """Two-stage oracle-feedback training over labelled or unlabelled streams.
 
     data: EventStreams or (stream, label) pairs. The net is trained in place
@@ -415,78 +411,56 @@ def train_feedback(net, oracle, data, cfg, log_path=None):
     cursors = [0] * len(pairs_data)
     total = cfg.epochs * cfg.samples_per_epoch
     history = []
-    writer = open(log_path, "w") if log_path else None
     step_i = 0
     skipped = 0
     t_begin = time.perf_counter()
-
-    def emit(entry):
-        history.append(entry)
-        if writer:
-            writer.write(json.dumps(entry) + "\n")
-
-    try:
-        for epoch in range(cfg.epochs):
-            epoch_pairs = []
-            for _ in range(cfg.samples_per_epoch):
-                si = int(rng.integers(len(pairs_data)))
-                stream, label = pairs_data[si]
-                cells = cells_list[si]
-                cur = cursors[si]
-                if cur + 2 > len(cells):      # too little left; wrap around
-                    cur = 0
-                seg = cells.grids[cur:cur + cfg.window]
-                w_len = seg.shape[0]
-                record = net.forward(seg)
-                n_c_rel = first_spike_index(record)
-                no_spike = n_c_rel is None
-                cut_rel = w_len - 1 if no_spike else n_c_rel
-                try:
-                    fb = neighborhood_search(
-                        stream, cells, cur - 1, cur + cut_rel, cfg.d, oracle,
-                        repr_kind=cfg.repr_kind, n_bins=cfg.n_bins,
-                        limit=cur + w_len - 1, label=label,
-                    )
-                except DivergenceError:
-                    raise
-                except Exception as exc:      # oracle failure: skip sample
-                    skipped += 1
-                    emit({"iter": step_i, "epoch": epoch, "stream": si,
-                          "skipped": True, "error": str(exc)})
-                    step_i += 1
-                    continue
-                n_star_rel = fb.n_star - cur
-                parts = timing_loss(record, n_star_rel, alpha, net.neuron)
-                loss_val = parts.mem + parts.ramp
-                if not np.isfinite(loss_val):
-                    raise DivergenceError(
-                        f"non-finite loss at sample {step_i}: mem={parts.mem} "
-                        f"ramp={parts.ramp} alpha={alpha}"
-                    )
-                opt.zero_grad()
-                parts.total.backward()
-                lr_t = cosine_lr(cfg.lr, step_i, total) if cfg.lr_schedule == "cosine" else cfg.lr
-                opt.step(lr_t)
-                epoch_pairs.append((n_star_rel, w_len if no_spike else n_c_rel))
-                cursors[si] = cur + cut_rel + 1
-                emit({"iter": step_i, "epoch": epoch, "stream": si,
-                      "cursor": cur, "loss": loss_val, "loss_mem": parts.mem,
-                      "loss_la": parts.ramp, "n_c": parts.n_c,
-                      "n_star": n_star_rel, "no_spike": no_spike,
-                      "degenerate": fb.degenerate, "lr": lr_t})
+    for epoch in range(cfg.epochs):
+        epoch_pairs = []
+        for _ in range(cfg.samples_per_epoch):
+            si = int(rng.integers(len(pairs_data)))
+            stream, label = pairs_data[si]
+            cells = cells_list[si]
+            cur = cursors[si]
+            if cur + 2 > len(cells):      # too little left; wrap around
+                cur = 0
+            seg = cells.grids[cur:cur + cfg.window]
+            w_len = seg.shape[0]
+            record = net.forward(seg)
+            n_c_rel = first_spike_index(record)
+            no_spike = n_c_rel is None
+            cut_rel = w_len - 1 if no_spike else n_c_rel
+            try:
+                fb = neighborhood_search(
+                    stream, cells, cur - 1, cur + cut_rel, cfg.d, oracle,
+                    repr_kind=cfg.repr_kind, n_bins=cfg.n_bins,
+                    limit=cur + w_len - 1, label=label,
+                )
+            except OracleError as exc:    # the oracle declined: skip sample
+                skipped += 1
+                history.append({"iter": step_i, "epoch": epoch, "stream": si,
+                                "skipped": True, "error": str(exc)})
                 step_i += 1
-            alpha = update_alpha(alpha, epoch_pairs, cfg.eta)
-            emit({"epoch": epoch, "alpha": alpha,
-                  "pairs": [[int(a), int(b)] for a, b in epoch_pairs]})
-            if (cfg.finetune_start is not None and epoch + 1 > cfg.finetune_start
-                    and hasattr(oracle, "finetune")):
-                batch = _reslice_dataset(net, pairs_data, cells_list, cfg)
-                order = rng.permutation(len(batch))
-                oracle.finetune([batch[i] for i in order])
-                emit({"epoch": epoch, "finetune_samples": len(batch)})
-    finally:
-        if writer:
-            writer.close()
+                continue
+            n_star_rel = fb.n_star - cur
+            parts, loss_val, lr_t = _supervised_step(net, opt, cfg, record, n_star_rel, alpha,
+                                                     step_i, total, "sample")
+            epoch_pairs.append((n_star_rel, w_len if no_spike else n_c_rel))
+            cursors[si] = cur + cut_rel + 1
+            history.append({"iter": step_i, "epoch": epoch, "stream": si,
+                            "cursor": cur, "loss": loss_val, "loss_mem": parts.mem,
+                            "loss_la": parts.ramp, "n_c": parts.n_c,
+                            "n_star": n_star_rel, "no_spike": no_spike,
+                            "degenerate": fb.degenerate, "lr": lr_t})
+            step_i += 1
+        alpha = update_alpha(alpha, epoch_pairs, cfg.eta)
+        history.append({"epoch": epoch, "alpha": alpha,
+                        "pairs": [[int(a), int(b)] for a, b in epoch_pairs]})
+        if (cfg.finetune_start is not None and epoch + 1 > cfg.finetune_start
+                and hasattr(oracle, "finetune")):
+            batch = _reslice_dataset(net, pairs_data, cells_list, cfg)
+            order = rng.permutation(len(batch))
+            oracle.finetune([batch[i] for i in order])
+            history.append({"epoch": epoch, "finetune_samples": len(batch)})
     return FeedbackResult(epochs=cfg.epochs, samples=step_i, skipped=skipped,
                           alpha_final=alpha,
                           elapsed_s=time.perf_counter() - t_begin,

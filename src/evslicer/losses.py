@@ -13,37 +13,21 @@ Two terms supervise the no-reset membrane trace U of the output neuron:
 
 alpha itself is tuned from observed timing errors: firing early on average
 lowers alpha (aim lower in the band), firing late raises it. All functions
-here are pure; the mutable alpha cell lives in the training loop (or in a
-TimingLossConfig instance it owns).
+here are pure; the mutable alpha lives in the training loop.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .autodiff import Tensor
-from .snn import NeuronConfig, first_spike_index
+from .snn import first_spike_index
 
 __all__ = [
-    "TimingLossConfig", "TimingLossParts",
+    "TimingLossParts",
     "membrane_bounds", "membrane_target", "membrane_loss",
     "ramp_loss", "timing_loss", "update_alpha",
 ]
-
-
-@dataclass
-class TimingLossConfig:
-    """alpha / eta pair plus the neuron constants the bounds derive from."""
-
-    alpha: float = 0.5
-    eta: float = 0.05
-    neuron: NeuronConfig = field(default_factory=NeuronConfig)
-
-    def update(self, pairs):
-        """Apply one alpha step from (desired, actual) index pairs; returns
-        the new alpha (also stored)."""
-        self.alpha = update_alpha(self.alpha, pairs, self.eta)
-        return self.alpha
 
 
 @dataclass

@@ -10,19 +10,21 @@ The output neuron additionally tracks a never-reset twin U of its membrane
 potential; training losses read U because a reset would erase exactly the
 value the loss needs to supervise. Before the first spike U[n] == V[n].
 
-Hidden spiking layers use the same recurrence with the surrogate-gradient
-step from `autodiff.spike`, so gradients flow through the whole unrolled net.
+`Neuron.run` decides the output spikes on floats; `integrate` builds U and
+the hidden layers' membranes as graph nodes, and the hidden layers spike
+through the surrogate-gradient step of `autodiff.spike`.
 """
 from __future__ import annotations
 
 import json
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, ShapeError
+from .autodiff import CheckpointError, ShapeError, Tensor
 
 DEFAULT_ARCH = "16C3-GN-IF-AvgP2-32C3-GN-IF-AvgP2-64C3-GN-IF-AdaP2-LN-IF-LN-IF"
 
@@ -54,53 +56,69 @@ class NeuronConfig:
         return {"beta": self.beta, "gamma": self.gamma, "v_th": self.v_th, "v_reset": self.v_reset}
 
 
-def lif_step(v_prev, u_prev, current, cfg):
-    """One plain-array step of the resetting/no-reset pair; returns
-    (v_pre_reset, spike, v_next, u). Used by the timing-guarantee suite and
-    anywhere gradients are not needed."""
-    v = cfg.beta * v_prev + cfg.gamma * current
-    s = 1 if v >= cfg.v_th else 0
-    v_next = cfg.v_reset if s else v
-    u = cfg.beta * u_prev + cfg.gamma * current
-    return v, s, v_next, u
+def integrate(v_prev, current, cfg):
+    """Graph-side membrane update V[n] = beta*V[n-1] + gamma*I[n] as one fused
+    node; v_prev is None at the first step, where V[-1] = v_reset."""
+    if v_prev is None:
+        return ad.affine(current, cfg.gamma, cfg.beta * cfg.v_reset)
+    return ad.lincomb(v_prev, current, cfg.beta, cfg.gamma)
+
+
+class Neuron:
+    """The resetting neuron and the state it carries between runs: the
+    post-reset potential `v` as a float (the spike decision carries no
+    gradient) and the never-reset twin `u` as a graph node, None at rest.
+    The slicing net's output neuron is one of these."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.v = cfg.v_reset
+        self.u = None
+
+    def run(self, currents):
+        """Continue over a current sequence; returns (spikes, V) where V holds
+        the pre-reset potential of each step."""
+        cfg = self.cfg
+        spikes, vs = [], []
+        for i in currents:
+            v = cfg.beta * self.v + cfg.gamma * float(i)
+            s = 1 if v >= cfg.v_th else 0
+            self.v = cfg.v_reset if s else v
+            spikes.append(s)
+            vs.append(v)
+        return np.array(spikes, dtype=np.int8), np.array(vs)
 
 
 def run_neuron(currents, cfg):
-    """Run the resetting neuron over a current sequence; returns (spikes, V, U)
-    where V holds the pre-reset potential of each step."""
-    v_state = cfg.v_reset
-    u = cfg.v_reset
-    spikes, vs, us = [], [], []
+    """Run a fresh resetting neuron over a current sequence; returns
+    (spikes, V, U) with V the pre-reset and U the never-reset potentials."""
+    spikes, vs = Neuron(cfg).run(currents)
+    u, us = None, []
     for i in currents:
-        v, s, v_state, u = lif_step(v_state, u, float(i), cfg)
-        spikes.append(s)
-        vs.append(v)
-        us.append(u)
-    return np.array(spikes, dtype=np.int8), np.array(vs), np.array(us)
+        u = integrate(u, Tensor(float(i)), cfg)
+        us.append(u.item())
+    return spikes, vs, np.array(us)
 
 
 @dataclass
 class SpikeRecord:
     """Per-step trace of the output neuron over one forwarded cell sequence.
 
-    spikes/potentials are plain arrays (the spike decision carries no
-    gradient); noreset/currents are graph nodes so losses can differentiate
-    through U[n] and read I[n].
+    spikes/potentials/currents are plain arrays (the spike decision carries
+    no gradient and losses read I[n] only as a constant); noreset holds graph
+    nodes so losses can differentiate through U[n].
     """
 
     spikes: np.ndarray             # (N,) int8
     potentials: np.ndarray         # (N,) float, V[n] before any reset
     noreset: list                  # N scalar Tensors, U[n]
-    currents: list                 # N scalar Tensors, I[n]
+    currents: np.ndarray           # (N,) float, I[n]
 
     def __len__(self):
         return int(self.spikes.size)
 
     def u_values(self):
-        return np.array([float(u.data.reshape(-1)[0]) for u in self.noreset])
-
-    def i_values(self):
-        return np.array([float(i.data.reshape(-1)[0]) for i in self.currents])
+        return np.array([u.item() for u in self.noreset])
 
 
 def first_spike_index(record):
@@ -160,10 +178,7 @@ class SpikeLayer:
 
     def __call__(self, x):
         cfg = self.cfg
-        if self.v is None:   # V[-1] = v_reset
-            v = ad.affine(x, cfg.gamma, cfg.beta * cfg.v_reset)
-        else:
-            v = ad.lincomb(self.v, x, cfg.beta, cfg.gamma)
+        v = integrate(self.v, x, cfg)
         s = ad.spike(v, v_th=cfg.v_th, window=cfg.surrogate_window, relaxed=self.relaxed)
         # reset-to-v_reset where fired: v*(1-s) + s*v_reset
         gate = ad.affine(s, -1.0, 1.0)
@@ -203,7 +218,6 @@ class AdaptivePoolLayer:
 class LinearLayer:
     def __init__(self, name, in_features, out_features, rng, gain):
         self.name = name
-        self.in_features = in_features
         self.weight = Tensor(rng.normal(0.0, gain * np.sqrt(2.0 / in_features),
                                         size=(out_features, in_features)), requires_grad=True)
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
@@ -254,6 +268,35 @@ def parse_architecture(arch):
     return tokens
 
 
+def _count(v):
+    return type(v) is int and v > 0
+
+
+def _number(v):
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+# A validity test for each field of the JSON sidecar that meta() writes.
+_META_FIELDS = {
+    "arch": lambda v: type(v) is str, "neuron": lambda v: type(v) is dict,
+    "in_hw": lambda v: type(v) is list and len(v) == 2 and all(map(_count, v)),
+    "in_channels": _count, "gn_groups": _count, "hidden_units": _count,
+    "seed": lambda v: type(v) is int and v >= 0, "init_gain": _number, "input_scale": _number,
+}
+_NEURON_FIELDS = dict.fromkeys(("beta", "gamma", "v_th", "v_reset"), _number)
+
+
+def _check_fields(obj, fields, where):
+    """Raise CheckpointError unless obj has exactly `fields`, each valid."""
+    keys = set(obj) if type(obj) is dict else set()
+    if keys != set(fields):
+        raise CheckpointError(f"{where}: missing keys {sorted(set(fields) - keys)}, "
+                              f"unknown keys {sorted(keys - set(fields))}")
+    for key, valid in fields.items():
+        if not valid(obj[key]):
+            raise CheckpointError(f"{where}: invalid {key!r}: {obj[key]!r}")
+
+
 class SlicerNet:
     """Network assembled from an architecture string on a fixed input geometry.
 
@@ -275,8 +318,7 @@ class SlicerNet:
         self.init_gain = init_gain
         self.input_scale = input_scale
         self._build()
-        self._head_v = self.neuron.v_reset
-        self._head_u = None
+        self.reset_state()
 
     def _build(self):
         rng = np.random.Generator(np.random.PCG64(self.seed))
@@ -287,7 +329,6 @@ class SlicerNet:
         ch, (h, w) = self.in_channels, self.in_hw
         flat = None
         conv_i = gn_i = lin_i = spike_i = 0
-        linear_seen = 0
         for tok in tokens[:-1]:
             kind = tok["kind"]
             if kind == "conv":
@@ -321,8 +362,7 @@ class SlicerNet:
                 h, w = nh, nw
             else:   # linear
                 in_features = flat if flat is not None else ch * h * w
-                linear_seen += 1
-                out_features = 1 if linear_seen == linear_total else self.hidden_units
+                out_features = 1 if lin_i + 1 == linear_total else self.hidden_units
                 layer = LinearLayer(f"fc{lin_i}", in_features, out_features, rng, self.init_gain)
                 self.layer_shapes.append(((in_features,), (out_features,)))
                 flat = out_features
@@ -355,6 +395,7 @@ class SlicerNet:
         for layer in self.layers:
             if isinstance(layer, SpikeLayer):
                 layer.reset()
+        self.head = Neuron(self.neuron)
 
     def _set_relaxed(self, relaxed):
         for layer in self.layers:
@@ -377,38 +418,23 @@ class SlicerNet:
         """Run a cell sequence through the net; returns the output SpikeRecord.
 
         cells: (N, C, H, W) array or CellSequence grids. State is reset at the
-        start unless keep_state is set (used by the continuous slicing loop).
+        start unless keep_state is set, which continues every layer and the
+        output neuron from where the previous forward stopped.
         """
         grids = cells.grids if hasattr(cells, "grids") else np.asarray(cells)
-        cfg = self.neuron
         if not keep_state:
             self.reset_state()
-            self._head_v = cfg.v_reset
-            self._head_u = None
         self._set_relaxed(relaxed)
-        spikes, potentials = [], []
         noreset, currents = [], []
-        u = self._head_u
-        v_state = self._head_v
-        for n in range(grids.shape[0]):
-            i_n = self.step(grids[n])
-            if u is None:   # U[-1] = v_reset
-                u = ad.affine(i_n, cfg.gamma, cfg.beta * cfg.v_reset)
-            else:
-                u = ad.lincomb(u, i_n, cfg.beta, cfg.gamma)
-            v = cfg.beta * v_state + cfg.gamma * float(i_n.data.reshape(-1)[0])
-            s = 1 if v >= cfg.v_th else 0
-            v_state = cfg.v_reset if s else v
-            spikes.append(s)
-            potentials.append(v)
-            noreset.append(u)
-            currents.append(i_n)
-        self._head_v = v_state
-        self._head_u = u
+        for cell in grids:
+            i_n = self.step(cell)
+            self.head.u = integrate(self.head.u, i_n, self.neuron)
+            noreset.append(self.head.u)
+            currents.append(i_n.item())
         self._set_relaxed(False)
-        return SpikeRecord(spikes=np.array(spikes, dtype=np.int8),
-                           potentials=np.array(potentials),
-                           noreset=noreset, currents=currents)
+        spikes, potentials = self.head.run(currents)
+        return SpikeRecord(spikes=spikes, potentials=potentials,
+                           noreset=noreset, currents=np.array(currents))
 
     # -- persistence ---------------------------------------------------------
 
@@ -427,12 +453,18 @@ class SlicerNet:
 
     @classmethod
     def load(cls, path):
-        with open(str(path) + ".meta.json") as fh:
-            meta = json.load(fh)
-        net = cls(arch=meta["arch"], in_hw=tuple(meta["in_hw"]), in_channels=meta["in_channels"],
-                  neuron=NeuronConfig(**meta["neuron"]), gn_groups=meta["gn_groups"],
-                  hidden_units=meta["hidden_units"], seed=meta["seed"],
-                  init_gain=meta["init_gain"], input_scale=meta["input_scale"])
+        sidecar = str(path) + ".meta.json"
+        with open(sidecar) as fh:
+            try:
+                meta = json.load(fh)
+            except ValueError as exc:
+                raise CheckpointError(f"{sidecar}: not a JSON sidecar: {exc}") from None
+        _check_fields(meta, _META_FIELDS, sidecar)
+        _check_fields(meta["neuron"], _NEURON_FIELDS, f"{sidecar} neuron")
+        try:   # the sidecar fields are exactly the constructor's arguments
+            net = cls(**{**meta, "neuron": NeuronConfig(**meta["neuron"])})
+        except ValueError as exc:
+            raise CheckpointError(f"{sidecar}: {exc}") from None
         net.load_parameters(path)
         return net
 
@@ -442,11 +474,11 @@ class SlicerNet:
         missing = set(own) - set(stored)
         extra = set(stored) - set(own)
         if missing or extra:
-            raise ValueError(f"checkpoint mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+            raise CheckpointError(f"checkpoint mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
         for name, tensor in own.items():
             if stored[name].shape != tensor.data.shape:
-                raise ValueError(
+                raise CheckpointError(
                     f"checkpoint tensor {name} has shape {stored[name].shape}, "
                     f"expected {tensor.data.shape}"
                 )
-            tensor.data = stored[name].astype(np.float64).copy()
+            tensor.data = stored[name]

@@ -4,8 +4,8 @@ numbers next to the pinned bound.
 
 The bounds are deliberately written as literals here rather than imported
 from the library: loosening one is a decision, not a tuning knob. The heavy
-checks (1, 2, 7-9, 11) train real networks and together take on the order of
-ten minutes; everything else is sub-second.
+checks (1, 2, 7-9, 11) train real networks; on a shared 2-vCPU VM the whole
+gate took 40 s, 31 s of it check 1, and every other check took under 4 s.
 """
 import numpy as np
 from scipy.stats import spearmanr

@@ -243,6 +243,29 @@ class TestSlice:
                      "--events", str(events), "--dt-us", "10000",
                      "--geometry", "8x8", "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("damage", ["truncated", "no_seed", "neuron_key", "not_json"])
+    def test_malformed_checkpoint_exits_2_with_one_line(self, tmp_path, capsys, damage):
+        events, _ = synth_csv(tmp_path)
+        ckpt = micro_checkpoint(tmp_path)
+        sidecar = tmp_path / "ckpt.sslc.meta.json"
+        meta = json.loads(sidecar.read_text())
+        if damage == "truncated":
+            ckpt.write_bytes(ckpt.read_bytes()[:30])
+        elif damage == "no_seed":
+            del meta["seed"]
+        elif damage == "neuron_key":
+            meta["neuron"]["tau"] = 2.0
+        if damage in ("no_seed", "neuron_key"):
+            sidecar.write_text(json.dumps(meta))
+        if damage == "not_json":
+            sidecar.write_text("{")
+        capsys.readouterr()
+        assert main(["slice", "--checkpoint", str(ckpt), "--events", str(events),
+                     "--dt-us", "10000", "--geometry", "8x8",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestReport:
     def test_density_json_and_csv(self, tmp_path):

@@ -1,8 +1,6 @@
 """Feedback-training unit tests: neighborhood search semantics, the shipped
-oracles, warm-up trainer mechanics (streaks, divergence, logging, alpha
-replay), oracle-feedback loop mechanics, and the policy comparison scaffold."""
-import json
-
+oracles, warm-up trainer mechanics (streaks, divergence, alpha replay),
+oracle-feedback loop mechanics, and the policy comparison scaffold."""
 import numpy as np
 import pytest
 
@@ -14,6 +12,7 @@ from evslicer.feedback import (
     DivergenceError,
     EvalContext,
     FeedbackConfig,
+    OracleError,
     ScriptedOracle,
     ToyClassifierOracle,
     build_arena_net,
@@ -107,8 +106,6 @@ class TestNeighborhoodSearch:
         seen = []
 
         class Capture:
-            is_pure = True
-
             def evaluate(self, rep, ctx):
                 seen.append(ctx.n_events)
                 return 0.0
@@ -212,13 +209,6 @@ class TestArena:
         res = train_arena(build_arena_net(cfg), cfg)
         assert res.history == [] and not res.converged and res.iterations == 0
 
-    def test_log_file_matches_history(self, tmp_path):
-        log = tmp_path / "arena.jsonl"
-        cfg = ArenaConfig(seed=0, **{**MICRO, "max_iters": 5, "streak": 3})
-        res = train_arena(build_arena_net(cfg), cfg, log_path=str(log))
-        lines = [json.loads(l) for l in log.read_text().splitlines()]
-        assert lines == res.history
-
     def test_task_ii_noise_uses_wrong_targets(self):
         cfg = ArenaConfig(task="arena-ii", arch="LN-IF", in_hw=(8, 8), n_steps=6,
                           max_iters=40, lr=1e-5, seed=0, target=3, noise_prob=0.5,
@@ -267,15 +257,13 @@ class TestFeedbackLoop:
 
     def test_oracle_failure_skips_sample(self):
         class Flaky:
-            is_pure = True
-
             def __init__(self):
                 self.calls = 0
 
             def evaluate(self, rep, ctx):
                 self.calls += 1
                 if self.calls % 7 == 0:
-                    raise RuntimeError("downstream exploded")
+                    raise OracleError("downstream exploded")
                 return float(ctx.n_events)
 
         result, cfg = self.run_micro(oracle=Flaky())
@@ -285,6 +273,14 @@ class TestFeedbackLoop:
         assert "downstream exploded" in skipped_entries[0]["error"]
         # non-skipped samples still trained
         assert any("loss" in h and not h.get("skipped") for h in result.history)
+
+    def test_oracle_bug_escapes_training(self):
+        class Buggy:
+            def evaluate(self, rep, ctx):
+                return {}["missing"]
+
+        with pytest.raises(KeyError, match="missing"):
+            self.run_micro(oracle=Buggy())
 
     def test_finetune_stage_invoked(self):
         calls = []

@@ -29,7 +29,7 @@ class ScriptedNet:
     def forward(self, grids, relaxed=False, keep_state=False):
         n = grids.shape[0]
         spikes = np.array([1 if i in self.spike_steps else 0 for i in range(n)], dtype=np.int8)
-        return SpikeRecord(spikes=spikes, potentials=np.zeros(n), noreset=[], currents=[])
+        return SpikeRecord(spikes=spikes, potentials=np.zeros(n), noreset=[], currents=np.zeros(n))
 
 
 def make_stream(n_cells, dt_us=100, events_per_cell=3, seed=0, hw=(8, 8)):

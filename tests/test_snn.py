@@ -1,9 +1,13 @@
+import json
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evslicer.autodiff import CheckpointError, load_named_tensors
 from evslicer.snn import (
-    DEFAULT_ARCH, NeuronConfig, SlicerNet, first_spike_index, lif_step,
+    DEFAULT_ARCH, NeuronConfig, SlicerNet, first_spike_index,
     parse_architecture, run_neuron,
 )
 from timing_traces import in_band_trace, upper_violation_trace
@@ -33,8 +37,9 @@ def test_leaky_neuron_resets_but_trace_does_not():
 
 
 def test_firing_boundary_is_inclusive():
-    v, s, v_next, _ = lif_step(0.0, 0.0, 1.0, NeuronConfig(v_th=1.0))
-    assert v == 1.0 and s == 1 and v_next == 0.0
+    spikes, vs, _ = run_neuron([1.0, 0.0], NeuronConfig(v_th=1.0))
+    assert spikes.tolist() == [1, 0]
+    assert vs.tolist() == [1.0, 0.0]       # fired exactly at v_th, then reset
 
 
 def test_neuron_config_validation():
@@ -183,6 +188,30 @@ def test_keep_state_continues_where_forward_stopped():
     np.testing.assert_allclose(got, whole.u_values(), atol=1e-12)
 
 
+@given(seed=st.integers(0, 10 ** 6),
+       arch=st.sampled_from(["LN-IF", "4C3-GN-IF-AvgP2-LN-IF", "4C3-LIF-AvgP2-LN-LIF"]),
+       leaky=st.booleans(), v_reset=st.sampled_from([0.0, -0.4]))
+@settings(max_examples=40, deadline=None)
+def test_head_decides_through_run_neuron(seed, arch, leaky, v_reset):
+    r = rng_for(seed)
+    cfg = NeuronConfig(beta=float(r.uniform(0.5, 0.99)) if leaky else 1.0, v_reset=v_reset)
+    net = SlicerNet(arch, in_hw=(8, 8), neuron=cfg, seed=seed,
+                    init_gain=float(r.uniform(1.0, 3.0)))
+    cells = random_cells(seed, 12)
+    whole = net.forward(cells)
+    spikes, vs, us = run_neuron(whole.currents, cfg)
+    assert whole.spikes.tobytes() == spikes.tobytes()
+    assert whole.potentials.tobytes() == vs.tobytes()
+    assert whole.u_values().tobytes() == us.tobytes()
+    k = int(r.integers(1, 12))
+    parts = [net.forward(cells[:k]), net.forward(cells[k:], keep_state=True)]
+    for field in ("spikes", "potentials", "currents"):
+        chunked = np.concatenate([getattr(p, field) for p in parts])
+        assert chunked.tobytes() == getattr(whole, field).tobytes()
+    chunked_u = np.concatenate([p.u_values() for p in parts])
+    assert chunked_u.tobytes() == whole.u_values().tobytes()
+
+
 def test_relaxed_mode_changes_hidden_spikes_only_in_forward():
     net = small_net(seed=2, init_gain=1.5)
     cells = random_cells(3, 6)
@@ -218,6 +247,63 @@ def test_checkpoint_round_trip_reproduces_forward(tmp_path):
     again = SlicerNet.load(path)
     np.testing.assert_array_equal(again.forward(cells).u_values(), before)
     assert again.meta() == net.meta()
+
+
+@pytest.fixture(scope="module")
+def saved_net(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "net.sslc"
+    small_net(seed=13).save(path)
+    return path
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_every_truncated_checkpoint_raises_checkpoint_error(saved_net, tmp_path_factory, data):
+    blob = saved_net.read_bytes()
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    path = tmp_path_factory.mktemp("cut") / "net.sslc"
+    path.write_bytes(blob[:cut])
+    shutil.copy(str(saved_net) + ".meta.json", str(path) + ".meta.json")
+    try:
+        prefix = load_named_tensors(path)
+    except CheckpointError:
+        prefix = None
+    if prefix is not None:    # cut on a record boundary: a shorter container
+        assert list(prefix) == list(load_named_tensors(saved_net))[:len(prefix)]
+    with pytest.raises(CheckpointError):
+        SlicerNet.load(path)
+
+
+@given(garbage=st.binary(min_size=1, max_size=64))
+@settings(max_examples=40, deadline=None)
+def test_trailing_garbage_rejected(saved_net, tmp_path_factory, garbage):
+    path = tmp_path_factory.mktemp("tail") / "net.sslc"
+    path.write_bytes(saved_net.read_bytes() + garbage)
+    shutil.copy(str(saved_net) + ".meta.json", str(path) + ".meta.json")
+    with pytest.raises(CheckpointError):
+        SlicerNet.load(path)
+
+
+@pytest.mark.parametrize("change", [
+    lambda m: m.pop("seed"),
+    lambda m: m.update(extra=1),
+    lambda m: m["neuron"].update(tau=2.0),
+    lambda m: m["neuron"].pop("beta"),
+    lambda m: m.update(in_hw=[8]),
+    lambda m: m.update(gn_groups=0),
+    lambda m: m.update(hidden_units=True),
+    lambda m: m.update(arch="16C3-XX-IF"),
+    lambda m: m["neuron"].update(beta=2.0),
+])
+def test_bad_sidecar_raises_checkpoint_error(tmp_path, change):
+    net = small_net(seed=13)
+    path = tmp_path / "net.sslc"
+    net.save(path)
+    meta = net.meta()
+    change(meta)
+    (tmp_path / "net.sslc.meta.json").write_text(json.dumps(meta))
+    with pytest.raises(CheckpointError):
+        SlicerNet.load(path)
 
 
 def test_checkpoint_mismatch_detected(tmp_path):
