@@ -3,8 +3,9 @@
 Just enough machinery for a small convolutional spiking network: elementwise
 arithmetic with numpy broadcasting, matmul/linear, 2-d convolution (im2col),
 average pooling (fixed and adaptive), group normalization, reductions,
-exp/log, and a step activation whose backward pass is a rectangular
-surrogate window.
+exp/log, concatenation and gather along the leading axis, a step activation
+whose backward pass is a rectangular surrogate window, and the spiking
+neuron's membrane recurrence scanned over time as one node.
 
 Everything is float64 and deterministic: a fixed graph construction order
 fixes the gradient accumulation order, so repeated backward passes over a
@@ -23,7 +24,7 @@ import numpy as np
 __all__ = [
     "Tensor", "ShapeError", "no_grad",
     "conv2d", "avg_pool", "adaptive_avg_pool", "group_norm", "linear",
-    "lincomb", "affine", "spike", "SGD",
+    "concat", "gather", "spike", "neuron_scan", "SGD",
     "save_named_tensors", "load_named_tensors", "CheckpointError",
     "CHECKPOINT_MAGIC", "CHECKPOINT_VERSION",
 ]
@@ -111,7 +112,7 @@ class Tensor:
         return add(self, neg(other)) if isinstance(other, Tensor) else add(self, -float(other))
 
     def __rsub__(self, other):
-        return affine(self, -1.0, float(other))
+        return add(neg(self), float(other))
 
     def __mul__(self, other):
         return mul(self, other)
@@ -132,6 +133,9 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
+    def __getitem__(self, index):
+        return gather(self, index)
+
     # -- shape / reduction helpers -------------------------------------------
 
     def reshape(self, *shape):
@@ -149,8 +153,9 @@ class Tensor:
         """Reverse-mode sweep from a scalar loss.
 
         Builds the topologically ordered tape with an iterative post-order
-        walk (training graphs unroll to thousands of nodes, beyond Python's
-        recursion limit) and replays it in reverse.
+        walk (training graphs can unroll to thousands of nodes, beyond
+        Python's recursion limit) and replays it in reverse. A node that no
+        gradient reached is skipped: its backward could only pass zeros on.
         """
         if self.data.size != 1:
             raise ShapeError(
@@ -173,7 +178,7 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(tape):
-            if node._backward is not None:
+            if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
 
@@ -248,31 +253,6 @@ def mul(a, b):
                 _accum(a, _unbroadcast(g * b_data, a_data.shape))
             if b.requires_grad:
                 _accum(b, _unbroadcast(g * a_data, b_data.shape))
-        out._backward = _bw
-    return out
-
-
-def lincomb(a, b, ca, cb):
-    """ca * a + cb * b with scalar coefficients, as a single fused node."""
-    ca, cb = float(ca), float(cb)
-    out = _node(ca * a.data + cb * b.data, (a, b))
-    if out.requires_grad:
-        def _bw(g):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g * ca if ca != 1.0 else g, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g * cb if cb != 1.0 else g, b.data.shape))
-        out._backward = _bw
-    return out
-
-
-def affine(a, scale, shift):
-    """scale * a + shift with float scalars, as a single fused node."""
-    scale, shift = float(scale), float(shift)
-    out = _node(scale * a.data + shift, (a,))
-    if out.requires_grad:
-        def _bw(g):
-            _accum(a, g * scale)
         out._backward = _bw
     return out
 
@@ -358,6 +338,42 @@ def tensor_mean(a, axis=None, keepdims=False):
     return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
+def concat(tensors):
+    """Join tensors along axis 0. The backward hands each part its slice of
+    the gradient and skips parts whose slice is all zeros, so a loss that
+    reads only early time steps never back-propagates into later blocks."""
+    tensors = list(tensors)
+    if len(tensors) == 1:
+        return tensors[0]
+    if not tensors:
+        return Tensor(np.zeros(0))
+    out = _node(np.concatenate([t.data for t in tensors]), tensors)
+    if out.requires_grad:
+        bounds = np.cumsum([0] + [t.data.shape[0] for t in tensors])
+
+        def _bw(g):
+            for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:]):
+                part = g[lo:hi]
+                if t.requires_grad and part.any():
+                    _accum(t, part)
+        out._backward = _bw
+    return out
+
+
+def gather(a, index):
+    """a[index] for an integer or integer array index into the leading axis."""
+    out = _node(a.data[index], (a,))
+    if out.requires_grad:
+        a_shape = a.data.shape
+
+        def _bw(g):
+            full = np.zeros(a_shape, dtype=np.float64)
+            np.add.at(full, index, g)
+            _accum(a, full)
+        out._backward = _bw
+    return out
+
+
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
@@ -380,7 +396,14 @@ def matmul(a, b):
 
 
 def linear(x, weight, bias=None):
-    """y = x @ weight.T (+ bias); weight is (out_features, in_features)."""
+    """y = x @ weight.T (+ bias); weight is (out_features, in_features).
+
+    The forward multiplies each row of x on its own: a row's result then
+    does not depend on how many rows share the call (BLAS picks a different
+    kernel, and summation order, for one row than for several), so a
+    sequence forwarded in pieces gives the same bits as forwarded whole.
+    The backward uses whole-batch products.
+    """
     if x.data.ndim != 2 or weight.data.ndim != 2:
         raise ShapeError(f"linear expects 2-d x and weight, got {x.data.shape}, {weight.data.shape}")
     if x.data.shape[1] != weight.data.shape[1]:
@@ -389,7 +412,7 @@ def linear(x, weight, bias=None):
         )
     inputs = (x, weight) if bias is None else (x, weight, bias)
     x_data, w_data = x.data, weight.data
-    y = x_data @ w_data.T
+    y = np.matmul(x_data[:, None, :], w_data.T)[:, 0, :]
     if bias is not None:
         y = y + bias.data
     out = _node(y, inputs)
@@ -470,6 +493,30 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     return out
 
 
+def _mean_blocks(data, kh, kw):
+    """Mean of each kh x kw block of an NCHW array whose extents they divide.
+
+    Adds strided views of the array, a few times faster than a reduction
+    over the block axes of a reshaped view; each block sums row by row, and
+    a 2 x 2 block gives numpy's mean bit for bit.
+    """
+    total = None
+    for i in range(kh):
+        row = data[:, :, i::kh, 0::kw]
+        for j in range(1, kw):
+            row = row + data[:, :, i::kh, j::kw]
+        total = row if total is None else total + row
+    return total / (kh * kw)
+
+
+def _spread_blocks(g, kh, kw):
+    """Backward of _mean_blocks: each block's gradient shared over its cells."""
+    n, c, oh, ow = g.shape
+    full = np.empty((n, c, oh, kh, ow, kw), dtype=np.float64)
+    full[...] = (g * (1.0 / (kh * kw)))[:, :, :, None, :, None]
+    return full.reshape(n, c, oh * kh, ow * kw)
+
+
 def avg_pool(x, k=2):
     """k x k mean pooling, stride k; odd extents are zero-padded on the high side."""
     if x.data.ndim != 4:
@@ -481,27 +528,41 @@ def avg_pool(x, k=2):
         padded[:, :, :h, :w] = x.data
     else:
         padded = x.data
-    oh, ow = padded.shape[2] // k, padded.shape[3] // k
-    y = padded.reshape(n, c, oh, k, ow, k).mean(axis=(3, 5))
-    out = _node(y, (x,))
+    out = _node(_mean_blocks(padded, k, k), (x,))
     if out.requires_grad:
         def _bw(g):
-            full = np.empty((n, c, oh, k, ow, k), dtype=np.float64)
-            full[...] = (g * (1.0 / (k * k)))[:, :, :, None, :, None]
-            full = full.reshape(n, c, oh * k, ow * k)
-            _accum(x, full[:, :, :h, :w])
+            _accum(x, _spread_blocks(g, k, k)[:, :, :h, :w])
         out._backward = _bw
     return out
 
 
 def adaptive_avg_pool(x, out_hw):
-    """Adaptive mean pooling to a target spatial size via partitioned means."""
+    """Adaptive mean pooling to a target spatial size via partitioned means.
+
+    When the target divides the input, every partition is a kh x kw block
+    and the means are block means as in avg_pool; otherwise partition
+    (i, j) covers rows [i*h // th, (i+1)*h // th) and the columns likewise.
+    """
     if x.data.ndim != 4:
         raise ShapeError(f"adaptive_avg_pool expects 4-d input, got {x.data.shape}")
     n, c, h, w = x.data.shape
     th, tw = out_hw
     if th < 1 or tw < 1 or th > h or tw > w:
         raise ShapeError(f"adaptive_avg_pool target {out_hw} invalid for input {h}x{w}")
+    if h % th or w % tw:
+        return _partition_mean(x, th, tw)
+    kh, kw = h // th, w // tw
+    out = _node(_mean_blocks(x.data, kh, kw), (x,))
+    if out.requires_grad:
+        def _bw(g):
+            _accum(x, _spread_blocks(g, kh, kw))
+        out._backward = _bw
+    return out
+
+
+def _partition_mean(x, th, tw):
+    """adaptive_avg_pool's general case: a loop over uneven partitions."""
+    n, c, h, w = x.data.shape
     hb = [(i * h) // th for i in range(th + 1)]
     wb = [(j * w) // tw for j in range(tw + 1)]
     y = np.empty((n, c, th, tw), dtype=np.float64)
@@ -561,8 +622,20 @@ def group_norm(x, groups, weight, bias, eps=1e-5):
 
 
 # ---------------------------------------------------------------------------
-# step activation with rectangular surrogate
+# step activation with rectangular surrogate, and the neuron scan
 # ---------------------------------------------------------------------------
+
+def _fire(v, v_th, window, relaxed):
+    """Spike values of potentials v: an exact step, or the relaxed ramp."""
+    if relaxed:
+        return np.clip((v - v_th) / (2.0 * window) + 0.5, 0.0, 1.0)
+    return (v >= v_th).astype(np.float64)
+
+
+def _surrogate(v, v_th, window):
+    """The spike's backward derivative: 1/(2*window) where |v - v_th| <= window."""
+    return (np.abs(v - v_th) <= window) / (2.0 * window)
+
 
 def spike(v, v_th=1.0, window=0.5, relaxed=False):
     """Threshold activation.
@@ -578,17 +651,78 @@ def spike(v, v_th=1.0, window=0.5, relaxed=False):
     if window <= 0:
         raise ShapeError(f"spike surrogate window must be positive, got {window}")
     v_data = v.data
-    if relaxed:
-        data = np.clip((v_data - v_th) / (2.0 * window) + 0.5, 0.0, 1.0)
-    else:
-        data = (v_data >= v_th).astype(np.float64)
-    out = _node(data, (v,))
+    out = _node(_fire(v_data, v_th, window, relaxed), (v,))
     if out.requires_grad:
         def _bw(g):
-            mask = np.abs(v_data - v_th) <= window
-            _accum(v, g * mask / (2.0 * window))
+            _accum(v, g * _surrogate(v_data, v_th, window))
         out._backward = _bw
     return out
+
+
+def neuron_scan(current, v0, neuron, reset=True, relaxed=False):
+    """The spiking neuron run over axis 0 (time) of `current`, as one node.
+
+    V[t] = beta*V[t-1] + gamma*I[t], starting from the carried potential v0
+    (a tensor shaped like one time step, or None for v_reset). With reset,
+    S[t] = spike(V[t]) as in `spike` and the carried potential becomes
+    V[t]*(1 - S[t]) + v_reset*S[t]; the output is S. Without reset the
+    output is V itself (the never-reset trace). `neuron` supplies beta,
+    gamma, v_th, v_reset and surrogate_window.
+
+    Returns (out, v_end, potentials): v_end is the carried potential after
+    the last step, a child node of `out` through which gradient reaches
+    this scan when a later block starts from it; potentials is the plain
+    array of pre-reset V.
+
+    The backward runs in reverse time. With C[t] the carried potential after
+    step t and sg the surrogate derivative of S[t],
+        dV[t] = dS[t]*sg[t] + dC[t]*((1 - S[t]) + (v_reset - V[t])*sg[t])
+    (without reset, dV[t] = dV_out[t] + dC[t]), dC[t-1] = beta*dV[t],
+    dI[t] = gamma*dV[t] and dv0 = beta*dV[0], where dC of the last step is
+    the gradient that reached v_end.
+    """
+    beta, gamma, v_reset = neuron.beta, neuron.gamma, neuron.v_reset
+    v_th, window = neuron.v_th, neuron.surrogate_window
+    drive = current.data if gamma == 1.0 else gamma * current.data
+    potentials = np.empty_like(drive)
+    spikes = np.empty_like(drive) if reset else None
+    v = v_reset if v0 is None else v0.data
+    for t in range(drive.shape[0]):
+        v = potentials[t] = (v if beta == 1.0 else beta * v) + drive[t]
+        if reset:
+            s = spikes[t] = _fire(v, v_th, window, relaxed)
+            v = v * (1.0 - s) + v_reset * s if relaxed else np.where(s > 0.0, v_reset, v)
+    inputs = (current,) if v0 is None else (current, v0)
+    out = _node(spikes if reset else potentials, inputs)
+    v_end = _node(np.array(v, dtype=np.float64), (out,))
+    if not out.requires_grad:
+        return out, v_end, potentials
+    carry = [None]     # the gradient reaching v_end, handed to out's backward
+
+    def _bw_end(g):
+        carry[0] = g
+        if out.grad is None:
+            out.grad = np.zeros_like(out.data)
+    v_end._backward = _bw_end
+
+    def _bw(g):
+        if reset:
+            sg = _surrogate(potentials, v_th, window)
+            dv = g * sg
+            through_reset = (1.0 - spikes) + (v_reset - potentials) * sg
+        else:
+            dv = np.array(g)
+        dc = carry[0]
+        for t in range(g.shape[0] - 1, -1, -1):
+            if dc is not None:
+                dv[t] += dc * through_reset[t] if reset else dc
+            dc = dv[t] if beta == 1.0 else beta * dv[t]
+        if current.requires_grad:
+            _accum(current, dv if gamma == 1.0 else gamma * dv)
+        if v0 is not None and v0.requires_grad:
+            _accum(v0, dc)
+    out._backward = _bw
+    return out, v_end, potentials
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .snn import ConvLayer, LinearLayer
 
 __all__ = [
@@ -73,9 +72,11 @@ def profile_network(net, cells):
     """Forward a profiling cell sequence and capture per-layer LayerStats.
 
     fr of each billed layer is the mean value of its input tensor across
-    all timesteps. The first billed layer reads analog count grids rather
-    than spikes; it is billed timestep-free at MAC cost, so its fr is fixed
-    at 1.0 by convention (every synapse active).
+    all timesteps, read from the net's own layer walk (`SlicerNet.body`)
+    one cell at a time and summed in cell order. The first billed layer
+    reads analog count grids rather than spikes; it is billed timestep-free
+    at MAC cost, so its fr is fixed at 1.0 by convention (every synapse
+    active).
     """
     grids = cells.grids if hasattr(cells, "grids") else np.asarray(cells)
     t_steps = grids.shape[0]
@@ -84,14 +85,15 @@ def profile_network(net, cells):
     billed = [(i, layer) for i, layer in enumerate(net.layers)
               if isinstance(layer, (ConvLayer, LinearLayer))]
     sums = {i: 0.0 for i, _ in billed}
+
+    def probe(i, x):
+        if i in sums:
+            for cell_mean in x.data.reshape(x.shape[0], -1).mean(axis=1):
+                sums[i] += float(cell_mean)
+
     net.reset_state()
     with ad.no_grad():
-        for n in range(t_steps):
-            x = Tensor(grids[n][None] * net.input_scale)
-            for i, layer in enumerate(net.layers):
-                if i in sums:
-                    sums[i] += float(x.data.mean())
-                x = layer(x)
+        net.body(grids, probe)
     net.reset_state()
     stats = []
     for pos, (i, layer) in enumerate(billed):

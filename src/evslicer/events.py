@@ -22,6 +22,8 @@ CSV_HEADER = "t_us,x,y,p"
 
 _EVENT_STRUCT = struct.Struct("<QHHb")
 _EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
+_T_MAX = np.iinfo(np.uint64).max        # the stored field ranges
+_XY_MAX = np.iinfo(np.uint16).max
 
 
 class EventFormatError(ValueError):
@@ -274,8 +276,10 @@ def parse_events_csv(data, width, height, t0=None, span_us=None):
             raise EventFormatError(f"line {lineno}: {err}") from None
         if p not in (-1, 1):
             raise EventFormatError(f"line {lineno}: polarity must be -1 or 1, got {p}")
-        if t < 0:
-            raise EventFormatError(f"line {lineno}: negative timestamp {t}")
+        if not 0 <= t <= _T_MAX:
+            raise EventFormatError(f"line {lineno}: timestamp {t} outside [0, {_T_MAX}]")
+        if not (0 <= x <= _XY_MAX and 0 <= y <= _XY_MAX):
+            raise EventFormatError(f"line {lineno}: coordinate ({x}, {y}) outside [0, {_XY_MAX}]")
         ts.append(t)
         xs.append(x)
         ys.append(y)

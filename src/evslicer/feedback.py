@@ -57,12 +57,16 @@ def cosine_lr(base, step, total):
 
 def _supervised_step(net, opt, cfg, record, n_star, alpha, step, total, unit):
     """One timing-loss SGD step towards firing at n_star: loss, finiteness
-    check, backward, scheduled learning rate. Returns (parts, loss, lr)."""
-    parts = timing_loss(record, n_star, alpha, net.neuron)
-    loss_val = parts.mem + parts.ramp
+    check, backward, scheduled learning rate. Returns (parts, loss, lr).
+    A diverging trace overflows inside the loss; the finiteness check, not
+    a numpy warning, reports it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = timing_loss(record, n_star, alpha, net.neuron)
+        loss_val = parts.mem + parts.ramp
     if not np.isfinite(loss_val):
         raise DivergenceError(f"non-finite loss at {unit} {step}: mem={parts.mem} "
-                              f"ramp={parts.ramp} alpha={alpha}")
+                              f"ramp={parts.ramp} alpha={alpha} "
+                              f"max|U|={np.abs(record.noreset.data).max()}")
     opt.zero_grad()
     parts.total.backward()
     lr_t = cosine_lr(cfg.lr, step, total) if cfg.lr_schedule == "cosine" else cfg.lr

@@ -89,19 +89,19 @@ def membrane_loss(u_star, i_star, alpha, neuron):
 def ramp_loss(u_trace, n_c, n_star, v_th):
     """Early-spike penalty; zero unless n_c < n* with U[n_c] >= U[n*].
 
-    When active, regresses U[n_c] onto v_th * (n_c+1)/(n_star+1) — the
-    linear ramp through (position, potential) = (n*+1, v_th) in 1-based
-    positions, so an early spike at the very first step still gets a
-    positive, attainable target.
+    u_trace is the (N,) node of U. When active, regresses U[n_c] onto
+    v_th * (n_c+1)/(n_star+1) — the linear ramp through (position,
+    potential) = (n*+1, v_th) in 1-based positions, so an early spike at
+    the very first step still gets a positive, attainable target.
     """
-    n = len(u_trace)
+    n = u_trace.shape[0]
     if not 0 <= n_star < n:
         raise ValueError(f"desired step {n_star} outside trace of length {n}")
     if n_c is None or n_c >= n_star:
         return Tensor(0.0)
     if n_c < 0:
         raise ValueError(f"spike step {n_c} negative")
-    if _scalar(u_trace[n_c]) < _scalar(u_trace[n_star]):
+    if u_trace.data[n_c] < u_trace.data[n_star]:
         return Tensor(0.0)
     target = v_th * (n_c + 1) / (n_star + 1)
     diff = u_trace[n_c] - target

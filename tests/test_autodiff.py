@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 from evslicer import autodiff as ad
 from evslicer.autodiff import (
     Tensor, ShapeError, conv2d, avg_pool, adaptive_avg_pool, group_norm,
-    linear, spike, no_grad, SGD, save_named_tensors, load_named_tensors,
+    linear, spike, neuron_scan, concat, no_grad, SGD,
+    save_named_tensors, load_named_tensors,
 )
+from evslicer.snn import CHUNK, NeuronConfig
 from gradcheck import check_grads
 
 
@@ -105,6 +107,82 @@ def test_spike_relaxed_forward_matches_surrogate_slope():
     assert err <= 1e-4
 
 
+NEURONS = {"IF": NeuronConfig(), "LIF": NeuronConfig(beta=0.9),
+           "reset-0.4": NeuronConfig(v_reset=-0.4)}
+
+
+@pytest.mark.parametrize("reset", [True, False], ids=["reset", "no-reset"])
+@pytest.mark.parametrize("steps", [1, CHUNK - 3, 2 * CHUNK + 3])
+@pytest.mark.parametrize("name", list(NEURONS))
+def test_neuron_scan_grads(name, steps, reset):
+    r = rng_for(steps)
+    current = Tensor(r.normal(0.5, 0.6, size=(steps, 5)), requires_grad=True)
+    v0 = Tensor(r.normal(0.2, 0.4, size=5), requires_grad=True)
+    w_out, w_end = Tensor(r.normal(size=(steps, 5))), Tensor(r.normal(size=5))
+
+    def loss(read_out=True):
+        out, v_end, _ = neuron_scan(current, v0, NEURONS[name], reset=reset, relaxed=True)
+        carried = (v_end * w_end).sum()
+        return (out * w_out).sum() + carried if read_out else carried
+
+    assert check_grads(loss, [current, v0]) <= 1e-4
+    assert check_grads(lambda: loss(read_out=False), [current, v0]) <= 1e-4
+
+
+@pytest.mark.parametrize("name", list(NEURONS))
+def test_neuron_scan_equals_per_step_graph(name):
+    """The hard-threshold scan against the same recurrence built step by
+    step from elementwise and spike nodes: equal values, equal gradients
+    up to summation order."""
+    cfg = NEURONS[name]
+    r = rng_for(11)
+    current = Tensor(r.normal(0.5, 0.6, size=(CHUNK + 3, 6)), requires_grad=True)
+    w_out = Tensor(r.normal(size=current.shape))
+
+    out, _, potentials = neuron_scan(current, None, cfg)
+    (out * w_out).sum().backward()
+    scan_grad, current.grad = current.grad, None
+
+    v, steps, vs = Tensor(np.full(6, cfg.v_reset)), [], []
+    for t in range(current.shape[0]):
+        v_pre = v * cfg.beta + current[t] * cfg.gamma
+        s = spike(v_pre, cfg.v_th, cfg.surrogate_window)
+        v = v_pre * (1.0 - s) + s * cfg.v_reset
+        steps.append((s * w_out[t]).sum())
+        vs.append(v_pre.data)
+    total = steps[0]
+    for term in steps[1:]:
+        total = total + term
+    total.backward()
+    assert out.data.tobytes() == np.stack([(p >= cfg.v_th) * 1.0 for p in vs]).tobytes()
+    assert potentials.tobytes() == np.stack(vs).tobytes()
+    np.testing.assert_allclose(scan_grad, current.grad, rtol=1e-12, atol=1e-12)
+
+
+def test_gather_grads():
+    r = rng_for(4)
+    a = Tensor(r.normal(size=7), requires_grad=True)
+    rows = Tensor(r.normal(size=(5, 3)), requires_grad=True)
+    index = np.array([1, 4, 4, 6])
+    coef, row_coef = Tensor(r.normal(size=4)), Tensor(r.normal(size=(3, 3)))
+    assert check_grads(lambda: (a[index] * coef).sum() + a[2] * 3.0 + a[-1], [a]) <= 1e-6
+    assert check_grads(lambda: (rows[np.array([0, 3, 0])] * row_coef).sum() + rows[4].sum(),
+                       [rows]) <= 1e-6
+
+
+def test_concat_grads_and_untouched_parts():
+    r = rng_for(5)
+    parts = [Tensor(r.normal(size=(n, 2)), requires_grad=True) for n in (3, 1, 4)]
+    coef = Tensor(r.normal(size=(8, 2)))
+    assert check_grads(lambda: (concat(parts) * coef).sum(), parts) <= 1e-6
+    for p in parts:
+        p.grad = None
+    concat(parts)[1].sum().backward()
+    # only the first part's rows were read; the others see no gradient at all
+    assert parts[0].grad.tolist() == [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]
+    assert parts[1].grad is None and parts[2].grad is None
+
+
 # ---------------------------------------------------------------------------
 # brute-force and finite-difference oracles
 # ---------------------------------------------------------------------------
@@ -168,6 +246,21 @@ def test_pool_and_adaptive_pool_grads(seed):
 
     assert check_grads(lambda: (avg_pool(x, 2) * Tensor(coef_a)).sum(), [x]) <= 1e-4
     assert check_grads(lambda: (adaptive_avg_pool(x, (2, 2)) * Tensor(coef_b)).sum(), [x]) <= 1e-4
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=15, deadline=None)
+def test_adaptive_pool_divisible_path_matches_partition_loop(seed):
+    r = rng_for(seed)
+    x = Tensor(r.normal(size=(2, 3, 6, 8)), requires_grad=True)
+    coef = Tensor(r.normal(size=(2, 3, 3, 2)))
+    blocks, loop = adaptive_avg_pool(x, (3, 2)), ad._partition_mean(x, 3, 2)
+    np.testing.assert_allclose(blocks.data, loop.data, rtol=1e-13, atol=1e-15)
+    (blocks * coef).sum().backward()
+    block_grad, x.grad = x.grad, None
+    (loop * coef).sum().backward()
+    np.testing.assert_allclose(block_grad, x.grad, rtol=1e-13, atol=1e-15)
+    assert check_grads(lambda: (adaptive_avg_pool(x, (3, 2)) * coef).sum(), [x]) <= 1e-4
 
 
 @given(st.integers(0, 10 ** 6))

@@ -109,6 +109,16 @@ class TestCells:
         assert main(["cells", "--events", str(events), "--dt-us", "10000",
                      "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("row", ["100,-1,3,1", "100,3,65536,1", f"{2 ** 64},3,3,1"])
+    def test_out_of_range_csv_field_exits_2_with_one_line(self, tmp_path, capsys, row):
+        events = tmp_path / "bad.csv"
+        events.write_text(f"t_us,x,y,p\n10,1,1,1\n{row}\n")
+        rc = main(["cells", "--events", str(events), "--dt-us", "10000",
+                   "--geometry", "8x8", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: line 3: ") and err.count("\n") == 1
+
 
 class TestTrain:
     def test_arena_micro_artifacts(self, tmp_path):
@@ -140,6 +150,7 @@ class TestTrain:
         assert (tmp_path / "history.jsonl").read_text() == ""
         assert not (tmp_path / "checkpoint.sslc").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_exits_3(self, tmp_path):
         rc = main(["train", "arena-i", "--arch", "LN-IF", "--hw", "8x8",
                    "--n-steps", "6", "--target", "3", "--lr", "1e6",

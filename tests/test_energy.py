@@ -15,7 +15,7 @@ from evslicer.energy import (
     profile_network,
     synaptic_ops,
 )
-from evslicer.snn import SlicerNet
+from evslicer.snn import DEFAULT_ARCH, SlicerNet
 
 
 def brute_force_conv_flops(cin, cout, k, oh, ow):
@@ -166,3 +166,26 @@ class TestProfiling:
         assert [(s.fr, s.flops, s.t) for s in first] == [(s.fr, s.flops, s.t) for s in second]
         assert all(0.0 <= s.fr <= 1.0 for s in first)
         assert all(s.t == 6 for s in first)
+
+    def test_report_pinned_on_default_net(self):
+        # Frozen from the per-cell profiling loop that the chunked layer walk
+        # replaced; 11 cells span a full block and a partial one.
+        net = SlicerNet(DEFAULT_ARCH, seed=3, init_gain=2.0)
+        cells = np.random.default_rng(7).poisson(0.6, (11, 2, 32, 32)).astype(np.float64)
+        rep = energy_report(profile_network(net, cells))
+        pinned = {
+            "conv0": (1.0, 1.3565952e-06),
+            "conv1": (0.17487681995738635, 2.0423016e-06),
+            "conv2": (0.18996360085227273, 2.2184928e-06),
+            "fc0": (0.2156649502840909, 1.1193984e-06),
+            "fc1": (0.22674005681818182, 1.1493e-09),
+        }
+        assert [row["name"] for row in rep["layers"]] == list(pinned)
+        for row in rep["layers"]:
+            fr, joules = pinned[row["name"]]
+            assert row["t"] == 11
+            assert row["fr"] == pytest.approx(fr, rel=1e-12)
+            assert row["joules"] == pytest.approx(joules, rel=1e-12)
+        assert rep["totals"]["flops"] == 3179008
+        assert rep["totals"]["sops"] == pytest.approx(9223301.0, rel=1e-12)
+        assert rep["totals"]["joules"] == pytest.approx(6.7379373000000005e-06, rel=1e-12)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,6 +258,43 @@ def test_binary_truncation_detected():
     blob = serialize_events_binary(s)
     with pytest.raises(EventFormatError, match="truncated"):
         parse_events_binary(blob[:-3])
+
+
+def test_csv_fields_outside_stored_range_carry_line_numbers():
+    for row in ("5,-1,0,1", "5,0,65536,1", f"{2 ** 64},0,0,1", "-5,0,0,1"):
+        with pytest.raises(EventFormatError, match="line 3"):
+            parse_events_csv(f"t_us,x,y,p\n1,1,1,1\n{row}\n".encode(), 8, 8)
+
+
+def _stream_or_rejected(parse, data):
+    """Arbitrary input must parse to a stream or be rejected as malformed."""
+    try:
+        stream = parse(data)
+    except (EventFormatError, ValueError):
+        return
+    assert isinstance(stream, EventStream)
+
+
+_csv_value = st.one_of(st.integers(-2, 9), st.integers(-2 ** 66, 2 ** 66), st.text(max_size=3))
+_csv_rows = st.lists(st.lists(_csv_value, min_size=3, max_size=5), max_size=6).map(
+    lambda rows: ("t_us,x,y,p\n" + "".join(",".join(map(str, r)) + "\n" for r in rows)).encode())
+
+
+@given(st.one_of(st.binary(max_size=120), _csv_rows))
+@settings(max_examples=300, deadline=None)
+def test_csv_parser_fuzz(data):
+    _stream_or_rejected(lambda d: parse_events_csv(d, 8, 8), data)
+
+
+_binary_blob = st.tuples(st.integers(0, 2), st.integers(0, 9), st.integers(0, 9),
+                         st.integers(0, 2 ** 64 - 1), st.binary(max_size=90)).map(
+    lambda f: b"SSEV" + struct.pack("<IHHQ", *f[:4]) + f[4])
+
+
+@given(st.one_of(st.binary(max_size=120), _binary_blob))
+@settings(max_examples=300, deadline=None)
+def test_binary_parser_fuzz(data):
+    _stream_or_rejected(parse_events_binary, data)
 
 
 def test_parse_dispatch_and_geometry_validation():

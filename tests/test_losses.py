@@ -23,19 +23,20 @@ from gradcheck import check_grads
 IF = NeuronConfig()  # beta=1, gamma=1, v_th=1, v_reset=0
 
 
-def scalar(x):
-    return Tensor(np.array([[float(x)]]))
-
-
 def leaf(x):
     return Tensor(np.array([[float(x)]]), requires_grad=True)
+
+
+def trace(u_vals):
+    """A (N,) never-reset trace U as the slicing net records it."""
+    return Tensor(np.array(u_vals, dtype=np.float64), requires_grad=True)
 
 
 def make_record(u_vals, i_vals, spikes):
     return SpikeRecord(
         spikes=np.array(spikes, dtype=np.int8),
         potentials=np.array(u_vals, dtype=np.float64),
-        noreset=[leaf(u) for u in u_vals],
+        noreset=trace(u_vals),
         currents=np.array(i_vals, dtype=np.float64),
     )
 
@@ -104,32 +105,32 @@ class TestRampLoss:
     def test_hand_value(self):
         # v_th=1, spike at position 2 of 4 (0-based 1 of 3), U[n_c]=0.9:
         # target 1*2/4 = 0.5, loss (0.9-0.5)^2 = 0.16
-        u = [scalar(0.2), leaf(0.9), scalar(0.5), scalar(0.8)]
+        u = trace([0.2, 0.9, 0.5, 0.8])
         loss = ramp_loss(u, 1, 3, v_th=1.0)
         assert loss.item() == pytest.approx(0.16, abs=1e-12)
 
     def test_gate_late_or_on_time_spike(self):
-        u = [scalar(0.2), scalar(1.5), scalar(0.5), scalar(0.8)]
+        u = trace([0.2, 1.5, 0.5, 0.8])
         assert ramp_loss(u, 3, 3, 1.0).item() == 0.0
         assert ramp_loss(u, 3, 1, 1.0).item() == 0.0
 
     def test_gate_no_spike(self):
-        u = [scalar(0.2), scalar(0.9)]
+        u = trace([0.2, 0.9])
         assert ramp_loss(u, None, 1, 1.0).item() == 0.0
 
     def test_gate_below_target_potential(self):
         # early spike but U[n_c] < U[n*]: the hump has already flattened
-        u = [scalar(0.2), scalar(0.7), scalar(0.5), scalar(0.8)]
+        u = trace([0.2, 0.7, 0.5, 0.8])
         assert ramp_loss(u, 1, 3, 1.0).item() == 0.0
 
     def test_desired_step_out_of_range(self):
-        u = [scalar(0.2), scalar(0.9)]
+        u = trace([0.2, 0.9])
         with pytest.raises(ValueError, match="outside trace"):
             ramp_loss(u, 0, 5, 1.0)
 
     def test_first_step_spike_has_positive_target(self):
         # 1-based positions: early spike at step 0 targets v_th/(n*+1), not 0
-        u = [leaf(0.9), scalar(0.5), scalar(0.8)]
+        u = trace([0.9, 0.5, 0.8])
         loss = ramp_loss(u, 0, 2, v_th=1.0)
         expected = (0.9 - 1.0 / 3.0) ** 2
         assert loss.item() == pytest.approx(expected, rel=1e-12)
@@ -143,7 +144,7 @@ class TestRampLoss:
     def test_positive_exactly_when_gated(self, data, n_c, n_star):
         n = len(data)
         n_c, n_star = n_c % n, n_star % n
-        u = [scalar(v) for v in data]
+        u = trace(data)
         loss = ramp_loss(u, n_c, n_star, 1.0).item()
         gate = n_c < n_star and data[n_c] >= data[n_star]
         if not gate:
@@ -203,7 +204,7 @@ class TestTimingLoss:
 
     def test_gradients_match_finite_differences(self):
         cfg = NeuronConfig(beta=0.9)
-        u = [leaf(0.2), leaf(0.9), leaf(0.5), leaf(0.8)]
+        u = trace([0.2, 0.9, 0.5, 0.8])
         rec = SpikeRecord(
             spikes=np.array([0, 1, 0, 0], dtype=np.int8),
             potentials=np.zeros(4),

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evslicer.autodiff import CheckpointError, load_named_tensors
+from evslicer import autodiff as ad
+from evslicer.autodiff import CheckpointError, Tensor, load_named_tensors
 from evslicer.snn import (
-    DEFAULT_ARCH, NeuronConfig, SlicerNet, first_spike_index,
+    CHUNK, DEFAULT_ARCH, NeuronConfig, SlicerNet, first_spike_index,
     parse_architecture, run_neuron,
 )
+from gradcheck import check_grads
 from timing_traces import in_band_trace, upper_violation_trace
 
 
@@ -149,8 +151,7 @@ def test_forward_shapes_and_record_lengths():
     rec = net.forward(random_cells(1, 7))
     assert len(rec) == 7
     assert rec.spikes.shape == (7,) and rec.potentials.shape == (7,)
-    assert len(rec.noreset) == len(rec.currents) == 7
-    assert rec.noreset[0].size == 1
+    assert rec.noreset.shape == rec.currents.shape == (7,)
 
 
 def test_noreset_equals_potential_before_first_spike():
@@ -158,7 +159,7 @@ def test_noreset_equals_potential_before_first_spike():
     rec = net.forward(random_cells(2, 12))
     first = first_spike_index(rec)
     stop = len(rec) if first is None else first + 1
-    np.testing.assert_array_equal(rec.u_values()[:stop], rec.potentials[:stop])
+    np.testing.assert_array_equal(rec.noreset.data[:stop], rec.potentials[:stop])
 
 
 def test_head_spike_consistent_with_threshold_crossing():
@@ -174,7 +175,7 @@ def test_forward_is_deterministic():
     cells = random_cells(6, 10)
     a = SlicerNet("4C3-GN-IF-AvgP2-LN-IF", in_hw=(8, 8), seed=9).forward(cells)
     b = SlicerNet("4C3-GN-IF-AvgP2-LN-IF", in_hw=(8, 8), seed=9).forward(cells)
-    assert a.u_values().tobytes() == b.u_values().tobytes()
+    assert a.noreset.data.tobytes() == b.noreset.data.tobytes()
     assert a.spikes.tobytes() == b.spikes.tobytes()
 
 
@@ -184,8 +185,8 @@ def test_keep_state_continues_where_forward_stopped():
     whole = net.forward(cells)
     part1 = net.forward(cells[:4])
     part2 = net.forward(cells[4:], keep_state=True)
-    got = np.concatenate([part1.u_values(), part2.u_values()])
-    np.testing.assert_allclose(got, whole.u_values(), atol=1e-12)
+    got = np.concatenate([part1.noreset.data, part2.noreset.data])
+    np.testing.assert_allclose(got, whole.noreset.data, atol=1e-12)
 
 
 @given(seed=st.integers(0, 10 ** 6),
@@ -197,19 +198,43 @@ def test_head_decides_through_run_neuron(seed, arch, leaky, v_reset):
     cfg = NeuronConfig(beta=float(r.uniform(0.5, 0.99)) if leaky else 1.0, v_reset=v_reset)
     net = SlicerNet(arch, in_hw=(8, 8), neuron=cfg, seed=seed,
                     init_gain=float(r.uniform(1.0, 3.0)))
-    cells = random_cells(seed, 12)
+    cells = random_cells(seed, 2 * CHUNK + 3)
     whole = net.forward(cells)
     spikes, vs, us = run_neuron(whole.currents, cfg)
     assert whole.spikes.tobytes() == spikes.tobytes()
     assert whole.potentials.tobytes() == vs.tobytes()
-    assert whole.u_values().tobytes() == us.tobytes()
-    k = int(r.integers(1, 12))
+    assert whole.noreset.data.tobytes() == us.tobytes()
+    # split inside a block, so the continuation's blocks straddle the
+    # one-shot forward's block boundaries
+    k = CHUNK * int(r.integers(0, 2)) + int(r.integers(1, CHUNK))
     parts = [net.forward(cells[:k]), net.forward(cells[k:], keep_state=True)]
     for field in ("spikes", "potentials", "currents"):
         chunked = np.concatenate([getattr(p, field) for p in parts])
         assert chunked.tobytes() == getattr(whole, field).tobytes()
-    chunked_u = np.concatenate([p.u_values() for p in parts])
-    assert chunked_u.tobytes() == whole.u_values().tobytes()
+    chunked_u = np.concatenate([p.noreset.data for p in parts])
+    assert chunked_u.tobytes() == whole.noreset.data.tobytes()
+
+
+@pytest.mark.parametrize("steps", [1, CHUNK - 3, 2 * CHUNK + 3])
+@pytest.mark.parametrize("cfg", [NeuronConfig(), NeuronConfig(beta=0.9),
+                                 NeuronConfig(v_reset=-0.4)], ids=["IF", "LIF", "reset-0.4"])
+def test_chunked_forward_gradients_match_finite_differences(cfg, steps):
+    """Gradients through the time-major blocks, their carried membranes and
+    a keep_state continuation, against central differences (relaxed mode)."""
+    net = SlicerNet("2C3-IF-LN-IF", in_hw=(4, 4), neuron=cfg, seed=steps, init_gain=2.0)
+    cells = random_cells(steps, steps, hw=(4, 4))
+    split = steps // 2
+    coef = Tensor(rng_for(steps + 1).normal(size=steps))
+
+    def loss():
+        u = net.forward(cells, relaxed=True).noreset
+        if split:
+            first = net.forward(cells[:split], relaxed=True).noreset
+            rest = net.forward(cells[split:], relaxed=True, keep_state=True).noreset
+            u = u + ad.concat([first, rest])
+        return (u * coef).sum()
+
+    assert check_grads(loss, net.parameters()) <= 1e-4
 
 
 def test_relaxed_mode_changes_hidden_spikes_only_in_forward():
@@ -217,7 +242,7 @@ def test_relaxed_mode_changes_hidden_spikes_only_in_forward():
     cells = random_cells(3, 6)
     hard = net.forward(cells)
     relaxed = net.forward(cells, relaxed=True)
-    assert not np.allclose(hard.u_values(), relaxed.u_values())
+    assert not np.allclose(hard.noreset.data, relaxed.noreset.data)
 
 
 def test_different_seeds_give_different_weights():
@@ -241,11 +266,11 @@ def test_gradients_reach_every_parameter():
 def test_checkpoint_round_trip_reproduces_forward(tmp_path):
     net = small_net(seed=13)
     cells = random_cells(14, 5)
-    before = net.forward(cells).u_values()
+    before = net.forward(cells).noreset.data
     path = tmp_path / "net.sslc"
     net.save(path)
     again = SlicerNet.load(path)
-    np.testing.assert_array_equal(again.forward(cells).u_values(), before)
+    np.testing.assert_array_equal(again.forward(cells).noreset.data, before)
     assert again.meta() == net.meta()
 
 
