@@ -217,7 +217,8 @@ class LinearLayer:
     def __call__(self, x):
         if x.ndim > 2:
             x = x.reshape(x.shape[0], -1)
-        return ad.linear(x, self.weight, self.bias)
+        # one product shape for every block keeps keep_state splits bit-exact
+        return ad.linear(x, self.weight, self.bias, rows=CHUNK)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,12 @@ def test_gather_grads():
                        [rows]) <= 1e-6
 
 
+
+def test_iterating_a_tensor_fails():
+    # indexing builds gather nodes, so iteration would silently detach values
+    with pytest.raises(TypeError):
+        list(Tensor(np.arange(3.0)))
+
 def test_concat_grads_and_untouched_parts():
     r = rng_for(5)
     parts = [Tensor(r.normal(size=(n, 2)), requires_grad=True) for n in (3, 1, 4)]
@@ -263,6 +269,16 @@ def test_adaptive_pool_divisible_path_matches_partition_loop(seed):
     assert check_grads(lambda: (adaptive_avg_pool(x, (3, 2)) * coef).sum(), [x]) <= 1e-4
 
 
+
+@pytest.mark.parametrize("shape", [(8, 16, 32, 32), (3, 2, 6, 10), (1, 1, 2, 2)])
+def test_block_means_match_reshape_mean(shape):
+    x = rng_for(len(shape) + shape[-1]).normal(size=shape)
+    n, c, h, w = shape
+    reference = x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    np.testing.assert_allclose(avg_pool(Tensor(x), 2).data, reference, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(adaptive_avg_pool(Tensor(x), (h // 2, w // 2)).data, reference,
+                               rtol=1e-14, atol=0)
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=15, deadline=None)
 def test_group_norm_grads(seed):
@@ -294,6 +310,21 @@ def test_linear_and_elementwise_grads(seed):
 
     assert check_grads(loss, [x, w, b]) <= 1e-4
 
+
+
+@pytest.mark.parametrize("out_features", [1, 5, 64])
+def test_linear_fixed_rows_are_split_invariant(out_features):
+    """With rows=CHUNK each row's bits do not depend on how the batch is cut,
+    for one output feature (a matrix-vector product) as for several."""
+    r = rng_for(out_features)
+    x = r.normal(size=(2 * CHUNK + 3, 96)) * (r.random((2 * CHUNK + 3, 96)) < 0.3)
+    w, b = Tensor(r.normal(size=(out_features, 96))), Tensor(r.normal(size=out_features))
+    whole = np.concatenate([linear(Tensor(x[i:i + CHUNK]), w, b, rows=CHUNK).data
+                            for i in range(0, len(x), CHUNK)])
+    np.testing.assert_allclose(whole, x @ w.data.T + b.data, rtol=1e-12, atol=1e-12)
+    for lo, hi in ((0, 1), (3, 4), (5, 10), (CHUNK - 1, CHUNK + 2), (len(x) - 2, len(x))):
+        part = linear(Tensor(x[lo:hi]), w, b, rows=CHUNK).data
+        assert part.tobytes() == whole[lo:hi].tobytes()
 
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=10, deadline=None)

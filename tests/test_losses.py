@@ -211,7 +211,7 @@ class TestTimingLoss:
             noreset=u,
             currents=np.array([0.0, 0.0, 0.0, 0.3]),
         )
-        err = check_grads(lambda: timing_loss(rec, 3, 0.5, cfg).total, u)
+        err = check_grads(lambda: timing_loss(rec, 3, 0.5, cfg).total, [u])
         assert err < 1e-7
 
 
