@@ -183,7 +183,11 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(tape):
             if node._backward is not None and node.grad is not None:
+                # read-only while its backward runs, so that _accum copies
+                # it if the backward hands it on unchanged
+                node.grad.flags.writeable = False
                 node._backward(node.grad)
+                node.grad.flags.writeable = True
 
 
 def _as_tensor(value):
@@ -201,9 +205,12 @@ def _node(data, inputs):
 
 def _accum(tensor, grad):
     if tensor.grad is None:
-        # np.array copies, so the stored grad owns its buffer even when the
-        # incoming gradient is a view of another node's grad.
-        tensor.grad = np.array(grad, dtype=np.float64)
+        # A first gradient the backward has just allocated is stored as it
+        # is. A view, or a node's own gradient handed on unchanged (add gives
+        # it to both inputs), is copied, so that every stored grad owns its
+        # buffer and adding into it changes no other tensor's grad.
+        fresh = grad.flags.owndata and grad.flags.writeable and grad.dtype == np.float64
+        tensor.grad = grad if fresh else np.array(grad, dtype=np.float64)
     else:
         tensor.grad += grad
 
@@ -527,9 +534,9 @@ def _block_mean(x, data, kh, kw):
         h, w = x.data.shape[2:]
 
         def _bw(g):
-            full = np.empty((n, c, oh, kh, ow, kw), dtype=np.float64)
-            full[...] = (g * (1.0 / (kh * kw)))[:, :, :, None, :, None]
-            _accum(x, full.reshape(n, c, hp, wp)[:, :, :h, :w])
+            full = np.empty((n, c, hp, wp), dtype=np.float64)
+            full.reshape(n, c, oh, kh, ow, kw)[...] = (g * (1.0 / (kh * kw)))[:, :, :, None, :, None]
+            _accum(x, full if (h, w) == (hp, wp) else full[:, :, :h, :w])
         out._backward = _bw
     return out
 
@@ -621,8 +628,9 @@ def group_norm(x, groups, weight, bias, eps=1e-5):
                 xh = xhat.reshape(n, groups, -1)
                 m1 = gy.mean(axis=2, keepdims=True)
                 m2 = (gy * xh).mean(axis=2, keepdims=True)
-                dx = inv * (gy - m1 - xh * m2)
-                _accum(x, dx.reshape(n, c, h, w))
+                dx = np.empty((n, c, h, w), dtype=np.float64)
+                np.multiply(inv, gy - m1 - xh * m2, out=dx.reshape(n, groups, -1))
+                _accum(x, dx)
         out._backward = _bw
     return out
 

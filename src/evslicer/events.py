@@ -158,23 +158,43 @@ def build_cells(stream, dt_us, n_cells=None):
         raise ValueError(
             f"stream span {stream.span_us}us shorter than one {dt_us}us cell"
         )
-    grids = np.zeros((n, 2, stream.height, stream.width), dtype=np.float64)
-    rel = stream.t.astype(np.int64) - stream.t0
-    idx = rel // dt_us
+    h, w = stream.height, stream.width
+    idx = _window_index(stream, dt_us)
     keep = idx < n
-    dropped = int(len(stream) - keep.sum())
-    ci = idx[keep].astype(np.intp)
-    pi = (stream.p[keep] < 0).astype(np.intp)   # channel 0 = +1, channel 1 = -1
-    np.add.at(grids, (ci, pi, stream.y[keep].astype(np.intp), stream.x[keep].astype(np.intp)), 1.0)
+    # one count per (cell, polarity, y, x); channel 0 = +1, channel 1 = -1.
+    # Unit weights give float64 counts directly, without an int64 copy.
+    cell = idx[keep].astype(np.int64)
+    flat = ((cell * 2 + (stream.p[keep] < 0)) * h + stream.y[keep]) * w + stream.x[keep]
+    grids = np.bincount(flat, weights=np.ones(flat.size),
+                        minlength=n * 2 * h * w).reshape(n, 2, h, w)
+    dropped = int(len(stream) - flat.size)
     return CellSequence(grids=grids, t0=stream.t0, dt_us=int(dt_us), dropped_tail_events=dropped)
+
+
+def _window_index(stream, dt_us):
+    """Index (uint64) of the dt_us window since t0 that holds each event.
+    Stamps are uint64 and never below t0, so the difference cannot wrap."""
+    return (stream.t - np.uint64(stream.t0)) // np.uint64(dt_us)
+
+
+def _first_at_or_after(t, bound):
+    """Index of the first of the sorted uint64 stamps t that is >= bound.
+
+    The bound is searched as a uint64: a Python int would make searchsorted
+    convert the whole array on every call."""
+    if bound <= 0:
+        return 0
+    if bound > _T_MAX:
+        return int(t.size)
+    return int(np.searchsorted(t, np.uint64(bound), side="left"))
 
 
 def event_group(stream, t_start_us, t_end_us):
     """Events with t in the half-open interval [t_start, t_end)."""
     if t_end_us < t_start_us:
         raise ValueError(f"empty-ordered interval [{t_start_us}, {t_end_us})")
-    lo = int(np.searchsorted(stream.t, t_start_us, side="left"))
-    hi = int(np.searchsorted(stream.t, t_end_us, side="left"))
+    lo = _first_at_or_after(stream.t, t_start_us)
+    hi = _first_at_or_after(stream.t, t_end_us)
     return RawEventGroup(stream=stream, t_start_us=int(t_start_us), t_end_us=int(t_end_us),
                          indices=slice(lo, hi))
 
@@ -229,6 +249,27 @@ def render(group, kind="frame", n_bins=2, tau_us=None):
                           t_end_us=group.t_end_us, n_events=n_ev)
 
 
+def render_cells(stream, cells, first, last, kind="frame", n_bins=5, tau_us=None):
+    """Render the group of cells first..last (inclusive) of `cells`, the
+    cell sequence built from `stream`.
+
+    A frame is the sum of the cells' count grids and its event count that
+    frame's sum: the counts are integers, exact in float64, so both equal
+    render(event_group(...), "frame") bit for bit without reading an event.
+    Voxels and time surfaces need event times and are rendered from the
+    group's events; tau_us defaults to 4 cells.
+    """
+    t_start, _ = cells.interval(first)
+    _, t_end = cells.interval(last)
+    if kind == "frame":
+        frame = cells.grids[first:last + 1].sum(axis=0)
+        return Representation(kind=kind, tensor=frame, t_start_us=t_start,
+                              t_end_us=t_end, n_events=int(frame.sum()))
+    if tau_us is None and kind == "time_surface":
+        tau_us = 4.0 * cells.dt_us
+    return render(event_group(stream, t_start, t_end), kind, n_bins=n_bins, tau_us=tau_us)
+
+
 def event_density(stream, t_us, dt_us):
     """Events per microsecond in the half-open window [t, t + dt)."""
     if dt_us <= 0:
@@ -238,9 +279,12 @@ def event_density(stream, t_us, dt_us):
 
 def density_profile(stream, dt_us):
     """(window start times, events-per-us) tiled over the stream's span."""
+    if dt_us <= 0:
+        raise ValueError(f"dt_us must be positive, got {dt_us}")
     n = stream.span_us // dt_us
     starts = stream.t0 + np.arange(n, dtype=np.int64) * dt_us
-    counts = np.array([len(event_group(stream, int(s), int(s) + dt_us)) for s in starts], dtype=np.float64)
+    idx = _window_index(stream, dt_us)
+    counts = np.bincount(idx[idx < n].astype(np.int64), minlength=n).astype(np.float64)
     return starts, counts / float(dt_us)
 
 
@@ -249,15 +293,59 @@ def density_profile(stream, dt_us):
 # ---------------------------------------------------------------------------
 
 def serialize_events_csv(stream):
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for t, x, y, p in zip(stream.t, stream.x, stream.y, stream.p):
-        buf.write(f"{int(t)},{int(x)},{int(y)},{int(p)}\n")
-    return buf.getvalue().encode("utf-8")
+    rows = map("{},{},{},{}\n".format, stream.t.tolist(), stream.x.tolist(),
+               stream.y.tolist(), stream.p.tolist())
+    return (CSV_HEADER + "\n" + "".join(rows)).encode("utf-8")
 
 
 def parse_events_csv(data, width, height, t0=None, span_us=None):
     text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+    columns = _csv_columns_fast(text)
+    if columns is None:
+        columns = _csv_columns_scan(text)
+    kwargs = {}
+    if t0 is not None:
+        kwargs = {"t0": int(t0), "span_us": int(span_us)}
+    t, x, y, p = columns
+    return EventStream(width=width, height=height, t=t, x=x, y=y, p=p, **kwargs)
+
+
+# What a row of the fast path may hold. Other text goes to the scanner:
+# loadtxt strips all Unicode whitespace from a field, where int() refuses
+# some of it and splitlines breaks lines at some of it.
+_ROW_CHARS = b"0123456789+-, \t\r\n"
+
+
+def _csv_columns_fast(text):
+    """(t, x, y, p) arrays of a well-formed CSV in one vectorised parse, or
+    None for any input this path rejects; _csv_columns_scan then decides.
+
+    On rows of _ROW_CHARS, np.loadtxt takes only what int() takes (it also
+    refuses t >= 2**63) and splits lines only where splitlines does (a lone
+    '\r' it refuses), so an input it accepts yields the scanner's arrays. A
+    body without rows never reaches loadtxt, which warns on empty input.
+    """
+    head, _, body = text.partition("\n")
+    if (head not in (CSV_HEADER, CSV_HEADER + "\r") or not body.strip() or not body.isascii()
+            or body.encode("ascii").translate(None, _ROW_CHARS)):
+        return None
+    try:
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
+                          comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape[1] != 4:
+        return None
+    t, x, y, p = rows.T
+    if (t.min() < 0 or min(x.min(), y.min()) < 0 or max(x.max(), y.max()) > _XY_MAX
+            or not np.all(np.abs(p) == 1)):
+        return None
+    return t.astype(np.uint64), x.astype(np.uint16), y.astype(np.uint16), p.astype(np.int8)
+
+
+def _csv_columns_scan(text):
+    """(t, x, y, p) arrays of a CSV, read line by line: the definition of the
+    format, and of its line-numbered EventFormatError messages."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         got = lines[0].strip() if lines else "<empty>"
@@ -284,12 +372,8 @@ def parse_events_csv(data, width, height, t0=None, span_us=None):
         xs.append(x)
         ys.append(y)
         ps.append(p)
-    kwargs = {}
-    if t0 is not None:
-        kwargs = {"t0": int(t0), "span_us": int(span_us)}
-    return EventStream(width=width, height=height,
-                       t=np.array(ts, dtype=np.uint64), x=np.array(xs, dtype=np.uint16),
-                       y=np.array(ys, dtype=np.uint16), p=np.array(ps, dtype=np.int8), **kwargs)
+    return (np.array(ts, dtype=np.uint64), np.array(xs, dtype=np.uint16),
+            np.array(ys, dtype=np.uint16), np.array(ps, dtype=np.int8))
 
 
 def serialize_events_binary(stream):
@@ -359,10 +443,27 @@ class Scenario:
     @staticmethod
     def from_json(text):
         raw = json.loads(text)
-        known = {f for f in Scenario.__dataclass_fields__}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise EventFormatError(f"scenario must be a JSON object, got {type(raw).__name__}")
+        fields = Scenario.__dataclass_fields__
+        unknown = set(raw) - set(fields)
         if unknown:
             raise EventFormatError(f"unknown scenario fields: {sorted(unknown)}")
+        for name, value in raw.items():
+            kind = fields[name].type          # the annotation, as a string
+            if kind == "int" and not _is_int(value):
+                raise EventFormatError(f"scenario field {name!r} must be an integer, got {value!r}")
+            if kind == "float" and not _is_number(value):
+                raise EventFormatError(f"scenario field {name!r} must be a number, got {value!r}")
+            if kind == "list" and not (isinstance(value, list) and all(
+                    isinstance(seg, list) and len(seg) == 3 and all(map(_is_number, seg))
+                    for seg in value)):
+                raise EventFormatError(f"scenario field {name!r} must be a list of "
+                                       f"[start_ms, end_ms, value] triples, got {value!r}")
+        for name in ("width", "height"):      # x and y are stored as uint16
+            if not 1 <= raw.get(name, 1) <= _XY_MAX + 1:
+                raise EventFormatError(f"scenario {name} must lie in [1, {_XY_MAX + 1}], "
+                                       f"got {raw[name]}")
         return Scenario(**raw)
 
     def to_json(self):
@@ -373,6 +474,14 @@ class Scenario:
             if start <= t_ms < end:
                 return float(value)
         return 0.0
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float) and np.isfinite(value)
 
 
 def synth_stream(scenario, seed=0):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SGD, Tensor
-from .events import EventStream, build_cells, event_group, render
+from .events import EventStream, build_cells, render_cells
 from .losses import timing_loss, update_alpha
 from .slicer import decisions_from_cuts, fixed_duration_cuts, spike_cuts
 from .snn import DEFAULT_ARCH, SlicerNet, first_spike_index
@@ -210,19 +210,14 @@ def neighborhood_search(stream, cells, n_p, n_c, d, oracle, *, repr_kind="frame"
     lo = max(n_p + 1, n_c - d)
     hi = min(last, n_c + d)
     candidates = list(range(lo, hi + 1))
-    if tau_us is None and repr_kind == "time_surface":
-        tau_us = 4.0 * cells.dt_us
-    t_left, _ = cells.interval(n_p + 1)
     losses = []
     any_events = False
     for edge in candidates:
-        _, t_right = cells.interval(edge)
-        group = event_group(stream, t_left, t_right)
-        rep = render(group, repr_kind, n_bins=n_bins, tau_us=tau_us)
-        ctx = EvalContext(label=label, t_start_us=t_left, t_end_us=t_right,
-                          n_events=len(group), last_cell=edge)
+        rep = render_cells(stream, cells, n_p + 1, edge, repr_kind, n_bins=n_bins, tau_us=tau_us)
+        ctx = EvalContext(label=label, t_start_us=rep.t_start_us, t_end_us=rep.t_end_us,
+                          n_events=rep.n_events, last_cell=edge)
         losses.append(float(oracle.evaluate(rep, ctx)))
-        any_events = any_events or len(group) > 0
+        any_events = any_events or rep.n_events > 0
     if not any_events:
         return OracleFeedback(candidates, losses, n_star=n_c, degenerate=True)
     return OracleFeedback(candidates, losses, n_star=candidates[int(np.argmin(losses))])

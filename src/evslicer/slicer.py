@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .events import Representation, build_cells, event_density, event_group, render
+# render stays a name of this module: perfbench's tracing test patches slicer.render
+from .events import Representation, build_cells, event_density, render, render_cells  # noqa: F401
 from .snn import first_spike_index
 
 __all__ = [
@@ -93,8 +94,6 @@ def decisions_from_cuts(stream, cells, cuts, repr_kind="frame", *,
         if not prev < c < n:
             raise ValueError(f"cut {c} not strictly increasing within [0, {n})")
         prev = c
-    if tau_us is None and repr_kind == "time_surface":
-        tau_us = 4.0 * cells.dt_us
     decisions = []
     n_p = -1
     edges = list(cuts)
@@ -105,15 +104,14 @@ def decisions_from_cuts(stream, cells, cuts, repr_kind="frame", *,
         tail_from = len(edges)
     for k, edge in enumerate(edges):
         first, last = n_p + 1, edge
-        t_start, _ = cells.interval(first)
-        _, t_end = cells.interval(last)
-        group = event_group(stream, t_start, t_end)
-        rep = render(group, repr_kind, n_bins=n_bins, tau_us=tau_us) if with_repr else None
+        # without a representation, the cell frame alone gives the count
+        rep = render_cells(stream, cells, first, last, repr_kind if with_repr else "frame",
+                           n_bins=n_bins, tau_us=tau_us)
         decisions.append(SliceDecision(
             first_cell=first, last_cell=last,
-            t_start_us=t_start, t_end_us=t_end,
+            t_start_us=rep.t_start_us, t_end_us=rep.t_end_us,
             n_c=None if k >= tail_from else edge,
-            n_events=len(group), representation=rep,
+            n_events=rep.n_events, representation=rep if with_repr else None,
         ))
         n_p = edge
     return decisions

@@ -357,6 +357,43 @@ def test_composite_conv_pool_linear_chain_grads():
     assert check_grads(loss, [x, w1, gw, gb, w2, b2]) <= 1e-4
 
 
+def test_default_net_grads_match_finite_differences():
+    """Through every layer kind of the default architecture (relaxed mode,
+    small input), checked at the first conv and the first group norm, whose
+    gradient passes through every other layer's backward."""
+    from evslicer.snn import DEFAULT_ARCH, SlicerNet
+    net = SlicerNet(DEFAULT_ARCH, in_hw=(8, 8), hidden_units=6, seed=4, init_gain=2.0)
+    cells = rng_for(8).poisson(1.0, (CHUNK + 2, 2, 8, 8)).astype(np.float64)
+    coef = Tensor(rng_for(9).normal(size=CHUNK + 2))
+    params = net.parameters()[:4]        # conv0 weight and bias, gn0 weight and bias
+
+    def loss():
+        return (net.forward(cells, relaxed=True).noreset * coef).sum()
+
+    assert check_grads(loss, params) <= 1e-4
+
+
+def test_tensor_added_to_itself_gets_twice_the_gradient():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    y = x + x
+    (y * Tensor(np.array([1.0, 2.0, 3.0]))).sum().backward()
+    assert x.grad.tolist() == [2.0, 4.0, 6.0]
+    assert y.grad.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_sum_inputs_accumulate_second_gradients_separately():
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.full(3, 2.0), requires_grad=True)
+    s = a + b
+    w = np.array([1.0, 2.0, 3.0])
+    loss = (s * Tensor(w)).sum() + (a * 10.0).sum() + (b * 100.0).sum()
+    loss.backward()
+    assert a.grad.tolist() == (w + 10.0).tolist()
+    assert b.grad.tolist() == (w + 100.0).tolist()
+    assert s.grad.tolist() == w.tolist()
+    assert s.grad.flags.writeable and loss.grad.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # determinism, shape errors, inference mode
 # ---------------------------------------------------------------------------

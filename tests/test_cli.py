@@ -91,6 +91,24 @@ class TestSynth:
         bad.write_text('{"no_such_field": 1}')
         assert main(["synth", "--scenario", str(bad), "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("text", [
+        '[1, 2]',                              # root not an object
+        '{"width": "abc"}',                    # integer field of another type
+        '{"jitter_px": "wide"}',               # number field of another type
+        '{"rate_per_ms": 5}',                  # schedule not a list
+        '{"speed_px_per_ms": [[0, 10]]}',      # schedule segment not a triple
+        '{"width": 70000}',                    # geometry beyond uint16 coordinates
+        '{"width": ',                          # not JSON
+    ])
+    def test_malformed_scenario_exits_2_with_one_line(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = main(["synth", "--scenario", str(bad), "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "events.csv").exists()
+
 
 class TestCells:
     def test_roundtrip(self, tmp_path):
