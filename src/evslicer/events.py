@@ -162,11 +162,12 @@ def build_cells(stream, dt_us, n_cells=None):
     idx = _window_index(stream, dt_us)
     keep = idx < n
     # one count per (cell, polarity, y, x); channel 0 = +1, channel 1 = -1.
-    # Unit weights give float64 counts directly, without an int64 copy.
+    # Unit weights give float64 counts directly, without an int64 copy;
+    # bincount still returns int64 for empty input, so the cast covers that.
     cell = idx[keep].astype(np.int64)
     flat = ((cell * 2 + (stream.p[keep] < 0)) * h + stream.y[keep]) * w + stream.x[keep]
-    grids = np.bincount(flat, weights=np.ones(flat.size),
-                        minlength=n * 2 * h * w).reshape(n, 2, h, w)
+    grids = np.bincount(flat, weights=np.ones(flat.size), minlength=n * 2 * h * w)
+    grids = grids.astype(np.float64, copy=False).reshape(n, 2, h, w)
     dropped = int(len(stream) - flat.size)
     return CellSequence(grids=grids, t0=stream.t0, dt_us=int(dt_us), dropped_tail_events=dropped)
 

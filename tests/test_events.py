@@ -137,6 +137,12 @@ def test_cell_frames_with_dropped_tail_events():
     assert render_cells(s, cells, 0, 2).n_events == 5
 
 
+def test_cell_frames_of_an_event_free_stream_are_float64_zeros():
+    s = EventStream(width=5, height=4, t=[], x=[], y=[], p=[], t0=546, span_us=100)
+    cells = _assert_cell_groups_match_events(s, 100)
+    assert cells.grids.dtype == np.float64 and not cells.grids.any()
+
+
 @pytest.mark.parametrize("kind", ["voxel", "time_surface"])
 def test_render_cells_reads_events_for_timed_kinds(kind):
     s = make_stream([[10, 1, 1, 1], [120, 2, 2, -1], [180, 1, 1, 1], [260, 3, 3, 1]],
