@@ -1,18 +1,22 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
 Just enough machinery for a small convolutional spiking network: elementwise
 arithmetic with numpy broadcasting, matmul/linear, 2-d convolution (im2col),
 average pooling (fixed and adaptive), group normalization, reductions,
 exp/log, concatenation and gather along the leading axis, a step activation
-whose backward pass is a rectangular surrogate window, and the spiking
-neuron's membrane recurrence scanned over time as one node.
+whose backward pass is a rectangular surrogate window, the spiking neuron's
+membrane recurrence scanned over time as one node, and a cast between the
+two float widths.
 
-Everything is float64 and deterministic: a fixed graph construction order
-fixes the gradient accumulation order, so repeated backward passes over a
-fresh graph reproduce identical bytes. Backward closures receive the output
-gradient as an argument and reference only their inputs, keeping the graph
-acyclic for reference counting — unrolled training graphs free promptly
-without garbage-collector sweeps.
+A tensor holds float32 if it is given float32 and float64 otherwise. Every op
+computes, allocates its buffers and hands back gradients in its input's
+dtype, so one code path serves a float32 network body and the float64 parts
+around it; `cast` joins the two. Everything is deterministic: a fixed graph
+construction order fixes the gradient accumulation order, so repeated
+backward passes over a fresh graph reproduce identical bytes. Backward
+closures receive the output gradient as an argument and reference only their
+inputs, keeping the graph acyclic for reference counting — unrolled training
+graphs free promptly without garbage-collector sweeps.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ import numpy as np
 __all__ = [
     "Tensor", "ShapeError", "no_grad",
     "conv2d", "avg_pool", "adaptive_avg_pool", "group_norm", "linear",
-    "concat", "gather", "spike", "neuron_scan", "SGD",
+    "concat", "gather", "cast", "spike", "neuron_scan", "SGD",
     "save_named_tensors", "load_named_tensors", "CheckpointError",
     "CHECKPOINT_MAGIC", "CHECKPOINT_VERSION",
 ]
@@ -66,12 +70,15 @@ def _unbroadcast(grad, shape):
 
 
 class Tensor:
-    """A numpy float64 array plus the closure that backpropagates into it."""
+    """A numpy float32 or float64 array plus the closure that backpropagates
+    into it. A float32 ndarray stays float32; anything else becomes float64."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        if not (type(data) is np.ndarray and data.dtype == np.float32):
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._backward = None
@@ -204,13 +211,15 @@ def _node(data, inputs):
 
 
 def _accum(tensor, grad):
+    """Add grad into tensor.grad, which is kept in the tensor's own dtype."""
+    dtype = tensor.data.dtype
     if tensor.grad is None:
         # A first gradient the backward has just allocated is stored as it
         # is. A view, or a node's own gradient handed on unchanged (add gives
         # it to both inputs), is copied, so that every stored grad owns its
         # buffer and adding into it changes no other tensor's grad.
-        fresh = grad.flags.owndata and grad.flags.writeable and grad.dtype == np.float64
-        tensor.grad = grad if fresh else np.array(grad, dtype=np.float64)
+        fresh = grad.flags.owndata and grad.flags.writeable and grad.dtype == dtype
+        tensor.grad = grad if fresh else np.array(grad, dtype=dtype)
     else:
         tensor.grad += grad
 
@@ -378,9 +387,22 @@ def gather(a, index):
         a_shape = a.data.shape
 
         def _bw(g):
-            full = np.zeros(a_shape, dtype=np.float64)
+            full = np.zeros(a_shape, dtype=a.data.dtype)
             np.add.at(full, index, g)
             _accum(a, full)
+        out._backward = _bw
+    return out
+
+
+def cast(a, dtype):
+    """a's values in `dtype` (a itself if they already are); the backward
+    hands the gradient back in a's dtype."""
+    if a.data.dtype == dtype:
+        return a
+    out = _node(a.data.astype(dtype), (a,))
+    if out.requires_grad:
+        def _bw(g):
+            _accum(a, g)
         out._backward = _bw
     return out
 
@@ -428,7 +450,7 @@ def linear(x, weight, bias=None, rows=None):
         y = x_data @ w_data.T
     else:
         m = x_data.shape[0]
-        padded = np.zeros((-(-m // rows) * rows, x_data.shape[1]), dtype=np.float64)
+        padded = np.zeros((-(-m // rows) * rows, x_data.shape[1]), dtype=x_data.dtype)
         padded[:m] = x_data
         y = np.concatenate([padded[i:i + rows] @ w_data.T
                             for i in range(0, len(padded), rows)])[:m]
@@ -461,7 +483,7 @@ def _im2col(padded, kh, kw, stride):
 
 def _col2im(dcols, padded_shape, kh, kw, stride, oh, ow):
     n, c, hp, wp = padded_shape
-    dpadded = np.zeros(padded_shape, dtype=np.float64)
+    dpadded = np.zeros(padded_shape, dtype=dcols.dtype)
     d6 = dcols.reshape(n, c, kh, kw, oh, ow)
     for i in range(kh):
         for j in range(kw):
@@ -480,7 +502,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError(f"conv2d kernel {kh}x{kw} larger than padded input {h}x{w} (pad {padding})")
     if padding:
-        padded = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=np.float64)
+        padded = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
         padded[:, :, padding:-padding, padding:-padding] = x.data
     else:
         padded = x.data
@@ -534,7 +556,7 @@ def _block_mean(x, data, kh, kw):
         h, w = x.data.shape[2:]
 
         def _bw(g):
-            full = np.empty((n, c, hp, wp), dtype=np.float64)
+            full = np.empty((n, c, hp, wp), dtype=data.dtype)
             full.reshape(n, c, oh, kh, ow, kw)[...] = (g * (1.0 / (kh * kw)))[:, :, :, None, :, None]
             _accum(x, full if (h, w) == (hp, wp) else full[:, :, :h, :w])
         out._backward = _bw
@@ -548,7 +570,7 @@ def avg_pool(x, k=2):
     n, c, h, w = x.data.shape
     ph, pw = (-h) % k, (-w) % k
     if ph or pw:
-        padded = np.zeros((n, c, h + ph, w + pw), dtype=np.float64)
+        padded = np.zeros((n, c, h + ph, w + pw), dtype=x.data.dtype)
         padded[:, :, :h, :w] = x.data
     else:
         padded = x.data
@@ -578,7 +600,7 @@ def _partition_mean(x, th, tw):
     n, c, h, w = x.data.shape
     hb = [(i * h) // th for i in range(th + 1)]
     wb = [(j * w) // tw for j in range(tw + 1)]
-    y = np.empty((n, c, th, tw), dtype=np.float64)
+    y = np.empty((n, c, th, tw), dtype=x.data.dtype)
     for i in range(th):
         for j in range(tw):
             y[:, :, i, j] = x.data[:, :, hb[i]:hb[i + 1], wb[j]:wb[j + 1]].mean(axis=(2, 3))
@@ -587,7 +609,7 @@ def _partition_mean(x, th, tw):
         x_shape = x.data.shape
 
         def _bw(g):
-            dx = np.zeros(x_shape, dtype=np.float64)
+            dx = np.zeros(x_shape, dtype=x.data.dtype)
             for i in range(th):
                 for j in range(tw):
                     blk = 1.0 / ((hb[i + 1] - hb[i]) * (wb[j + 1] - wb[j]))
@@ -628,7 +650,7 @@ def group_norm(x, groups, weight, bias, eps=1e-5):
                 xh = xhat.reshape(n, groups, -1)
                 m1 = gy.mean(axis=2, keepdims=True)
                 m2 = (gy * xh).mean(axis=2, keepdims=True)
-                dx = np.empty((n, c, h, w), dtype=np.float64)
+                dx = np.empty((n, c, h, w), dtype=x.data.dtype)
                 np.multiply(inv, gy - m1 - xh * m2, out=dx.reshape(n, groups, -1))
                 _accum(x, dx)
         out._backward = _bw
@@ -643,12 +665,13 @@ def _fire(v, v_th, window, relaxed):
     """Spike values of potentials v: an exact step, or the relaxed ramp."""
     if relaxed:
         return np.clip((v - v_th) / (2.0 * window) + 0.5, 0.0, 1.0)
-    return (v >= v_th).astype(np.float64)
+    return (v >= v_th).astype(v.dtype)
 
 
 def _surrogate(v, v_th, window):
-    """The spike's backward derivative: 1/(2*window) where |v - v_th| <= window."""
-    return (np.abs(v - v_th) <= window) / (2.0 * window)
+    """The spike's backward derivative: 1/(2*window) where |v - v_th| <= window,
+    in v's dtype."""
+    return (np.abs(v - v_th) <= window).astype(v.dtype) / (2.0 * window)
 
 
 def spike(v, v_th=1.0, window=0.5, relaxed=False):
@@ -708,7 +731,7 @@ def neuron_scan(current, v0, neuron, reset=True, relaxed=False):
             v = v * (1.0 - s) + v_reset * s if relaxed else np.where(s > 0.0, v_reset, v)
     inputs = (current,) if v0 is None else (current, v0)
     out = _node(spikes if reset else potentials, inputs)
-    v_end = _node(np.array(v, dtype=np.float64), (out,))
+    v_end = _node(np.array(v, dtype=drive.dtype), (out,))
     if not out.requires_grad:
         return out, v_end, potentials
     carry = [None]     # the gradient reaching v_end, handed to out's backward
@@ -777,7 +800,8 @@ def save_named_tensors(path, named):
     """Write an ordered {name: array} mapping to the flat binary container.
 
     Layout: magic "SSLC", version u32 LE, then per tensor: name length u32,
-    utf-8 name bytes, rank u32, extents u64 each, raw float64 LE values.
+    utf-8 name bytes, rank u32, extents u64 each, raw float64 LE values
+    (float32 tensors are widened, which is exact).
     """
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)

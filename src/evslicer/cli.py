@@ -176,7 +176,7 @@ def cmd_cells(args):
     stream = _read_stream(args.events, geometry, args.t0_us, args.span_us)
     cells = build_cells(stream, args.dt_us, n_cells=args.n_cells)
     out = out_dir / (args.out or "cells.npz")
-    np.savez(out, grids=cells.grids, t0=np.int64(cells.t0),
+    np.savez(out, grids=cells.grids, t0=np.uint64(cells.t0),
              dt_us=np.int64(cells.dt_us),
              dropped_tail_events=np.int64(cells.dropped_tail_events))
     config = {"dt_us": args.dt_us, "n_cells": args.n_cells}

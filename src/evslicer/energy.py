@@ -88,7 +88,7 @@ def profile_network(net, cells):
 
     def probe(i, x):
         if i in sums:
-            for cell_mean in x.data.reshape(x.shape[0], -1).mean(axis=1):
+            for cell_mean in x.data.reshape(x.shape[0], -1).mean(axis=1, dtype=np.float64):
                 sums[i] += float(cell_mean)
 
     net.reset_state()

@@ -49,6 +49,8 @@ class EventStream:
         self.y = np.asarray(self.y, dtype=np.uint16)
         self.p = np.asarray(self.p, dtype=np.int8)
         n = self.t.size
+        if self.t0 < 0 or self.span_us < 0:
+            raise EventFormatError(f"window t0={self.t0} span={self.span_us} must not be negative")
         if not (self.x.size == self.y.size == self.p.size == n):
             raise EventFormatError("event field arrays differ in length")
         if n:

@@ -18,6 +18,7 @@ differentiable classifier over rendered frames, supporting finetune).
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -55,23 +56,50 @@ def cosine_lr(base, step, total):
     return base * 0.5 * (1.0 + np.cos(np.pi * min(step, total) / total))
 
 
+# A diverging net overflows in its float32 body, in the loss or in the
+# update; the trainers run all three under this state, so the overflow runs
+# on as inf or nan into the next loss and the finiteness check in
+# _supervised_step, not a numpy warning, reports it as a DivergenceError.
+_DIVERGENCE_SILENT = dict(over="ignore", invalid="ignore")
+
+
+def _forward(net, cells):
+    """net.forward for the trainers (see _DIVERGENCE_SILENT)."""
+    with np.errstate(**_DIVERGENCE_SILENT):
+        return net.forward(cells)
+
+
 def _supervised_step(net, opt, cfg, record, n_star, alpha, step, total, unit):
     """One timing-loss SGD step towards firing at n_star: loss, finiteness
-    check, backward, scheduled learning rate. Returns (parts, loss, lr).
-    A diverging trace overflows inside the loss; the finiteness check, not
-    a numpy warning, reports it."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    check, backward, scheduled learning rate. Returns (parts, loss, lr)."""
+    with np.errstate(**_DIVERGENCE_SILENT):
         parts = timing_loss(record, n_star, alpha, net.neuron)
         loss_val = parts.mem + parts.ramp
-    if not np.isfinite(loss_val):
-        raise DivergenceError(f"non-finite loss at {unit} {step}: mem={parts.mem} "
-                              f"ramp={parts.ramp} alpha={alpha} "
-                              f"max|U|={np.abs(record.noreset.data).max()}")
-    opt.zero_grad()
-    parts.total.backward()
-    lr_t = cosine_lr(cfg.lr, step, total) if cfg.lr_schedule == "cosine" else cfg.lr
-    opt.step(lr_t)
+        if not np.isfinite(loss_val):
+            raise DivergenceError(f"non-finite loss at {unit} {step}: mem={parts.mem} "
+                                  f"ramp={parts.ramp} alpha={alpha} "
+                                  f"max|U|={np.abs(record.noreset.data).max()}")
+        opt.zero_grad()
+        parts.total.backward()
+        lr_t = cosine_lr(cfg.lr, step, total) if cfg.lr_schedule == "cosine" else cfg.lr
+        opt.step(lr_t)
     return parts, loss_val, lr_t
+
+
+def _check_finite_parameters(net):
+    """The last update of a run has no next loss to report its overflow."""
+    if not all(np.isfinite(p.data).all() for p in net.parameters()):
+        raise DivergenceError("non-finite parameters after the last update")
+
+
+def _check_shared_fields(cfg):
+    """The checks both trainers' configs share."""
+    if cfg.lr_schedule not in ("cosine", "constant"):
+        raise ValueError(f"lr_schedule must be 'cosine' or 'constant', got {cfg.lr_schedule!r}")
+    if not (math.isfinite(cfg.lr) and cfg.lr > 0.0):
+        raise ValueError(f"lr must be a positive finite number, got {cfg.lr}")
+    if not 0.0 <= cfg.alpha0 <= 1.0:
+        raise ValueError(f"alpha0 must lie in [0, 1], got {cfg.alpha0}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +289,7 @@ class ArenaConfig:
             raise ValueError("max_iters must be non-negative")
         if not 0.0 <= self.noise_prob <= 1.0:
             raise ValueError("noise_prob must lie in [0, 1]")
+        _check_shared_fields(self)
 
 
 @dataclass
@@ -316,7 +345,7 @@ def train_arena(net, cfg):
         else:
             cells_seq = fixed_cells
             supervised = n_star
-        record = net.forward(cells_seq)
+        record = _forward(net, cells_seq)
         parts, loss_val, lr_t = _supervised_step(net, opt, cfg, record, supervised, alpha,
                                                  i, cfg.max_iters, "iteration")
         n_c_eff = parts.n_c if parts.n_c is not None else len(record)
@@ -337,6 +366,7 @@ def train_arena(net, cfg):
         history.append(entry)
         if converged_at is not None:
             break
+    _check_finite_parameters(net)
     return ArenaResult(converged_at=converged_at, iterations=len(history),
                        n_star=n_star, alpha_final=alpha,
                        elapsed_s=time.perf_counter() - t_begin, history=history)
@@ -376,6 +406,7 @@ class FeedbackConfig:
             raise ValueError("window must cover at least 2 cells")
         if self.finetune_start is not None and self.finetune_start > self.epochs:
             raise ValueError("finetune_start beyond total epochs")
+        _check_shared_fields(self)
 
 
 @dataclass
@@ -424,7 +455,7 @@ def train_feedback(net, oracle, data, cfg):
                 cur = 0
             seg = cells.grids[cur:cur + cfg.window]
             w_len = seg.shape[0]
-            record = net.forward(seg)
+            record = _forward(net, seg)
             n_c_rel = first_spike_index(record)
             no_spike = n_c_rel is None
             cut_rel = w_len - 1 if no_spike else n_c_rel
@@ -460,6 +491,7 @@ def train_feedback(net, oracle, data, cfg):
             order = rng.permutation(len(batch))
             oracle.finetune([batch[i] for i in order])
             history.append({"epoch": epoch, "finetune_samples": len(batch)})
+    _check_finite_parameters(net)
     return FeedbackResult(epochs=cfg.epochs, samples=step_i, skipped=skipped,
                           alpha_final=alpha,
                           elapsed_s=time.perf_counter() - t_begin,

@@ -20,6 +20,14 @@ neuron runs the same scan over the whole sequence of output currents: with
 reset on plain floats for the spike decisions (`Neuron.run`, which
 `run_neuron` and the timing-guarantee checks exercise), and without reset as
 a graph node for U.
+
+Precision: the body (every layer before the output neuron) computes in the
+net's `dtype`, float32 by default, and a `cast` node hands its output
+currents to the output neuron in float64. The neuron, and so the spike
+decisions, the never-reset trace the losses read and everything downstream,
+stays float64; so do the cell grids and the checkpoint bytes, which store
+float32 parameters widened (exactly) to float64. A float64 net runs the same
+code at full width, which the finite-difference gradient checks need.
 """
 from __future__ import annotations
 
@@ -266,8 +274,13 @@ def _number(v):
     return type(v) in (int, float) and math.isfinite(v)
 
 
-# A validity test for each field of the JSON sidecar that meta() writes.
+# Float widths a net's body may compute in.
+DTYPES = ("float32", "float64")
+
+# A validity test for each field of the JSON sidecar that meta() writes; a
+# sidecar without "dtype" predates it and describes a float64 net.
 _META_FIELDS = {
+    "dtype": lambda v: v in DTYPES,
     "arch": lambda v: type(v) is str, "neuron": lambda v: type(v) is dict,
     "in_hw": lambda v: type(v) is list and len(v) == 2 and all(map(_count, v)),
     "in_channels": _count, "gn_groups": _count, "hidden_units": _count,
@@ -292,12 +305,16 @@ class SlicerNet:
 
     The trailing spiking token becomes the output neuron (resetting membrane
     for the spike decision, never-reset twin for losses); everything before it
-    runs as ordinary layers with surrogate-gradient spiking activations.
+    runs as ordinary layers with surrogate-gradient spiking activations, in
+    `dtype` ("float32" or "float64"; see the module docstring).
     """
 
     def __init__(self, arch=DEFAULT_ARCH, in_hw=(32, 32), in_channels=2,
                  neuron=None, gn_groups=4, hidden_units=512, seed=0,
-                 init_gain=1.0, input_scale=1.0):
+                 init_gain=1.0, input_scale=1.0, dtype="float32"):
+        if dtype not in DTYPES:
+            raise ValueError(f"dtype must be one of {DTYPES}, got {dtype!r}")
+        self.dtype = dtype
         self.arch = arch
         self.in_hw = tuple(in_hw)
         self.in_channels = in_channels
@@ -364,6 +381,10 @@ class SlicerNet:
                 f"architecture must funnel to one output feature before the "
                 f"output neuron, got {final} ({self.arch!r} on {self.in_hw})"
             )
+        # drawn in float64 whatever the dtype, so both widths start from the
+        # same values
+        for p in self.parameters():
+            p.data = p.data.astype(self.dtype, copy=False)
 
     # -- parameters ----------------------------------------------------------
 
@@ -396,12 +417,12 @@ class SlicerNet:
 
     def body(self, grids, probe=None):
         """Push a (N, C, H, W) cell sequence through every layer before the
-        output neuron, CHUNK cells at a time; returns the (N,) node of the
-        output currents. probe(i, x), if given, sees the input block x of
-        layer i."""
+        output neuron, CHUNK cells at a time, in the net's dtype; returns the
+        (N,) float64 node of the output currents. probe(i, x), if given, sees
+        the input block x of layer i."""
         currents = []
         for start in range(0, len(grids), CHUNK):
-            x = Tensor(grids[start:start + CHUNK] * self.input_scale)
+            x = Tensor(np.multiply(grids[start:start + CHUNK], self.input_scale, dtype=self.dtype))
             for i, layer in enumerate(self.layers):
                 if probe is not None:
                     probe(i, x)
@@ -410,7 +431,7 @@ class SlicerNet:
                 raise ShapeError(f"output current must be one value per cell, "
                                  f"got shape {x.shape[1:]}")
             currents.append(x)
-        return ad.concat(currents).reshape(-1)
+        return ad.cast(ad.concat(currents).reshape(-1), np.float64)
 
     def forward(self, cells, relaxed=False, keep_state=False):
         """Run a cell sequence through the net; returns the output SpikeRecord.
@@ -438,6 +459,7 @@ class SlicerNet:
             "neuron": self.neuron.to_dict(), "gn_groups": self.gn_groups,
             "hidden_units": self.hidden_units, "seed": self.seed,
             "init_gain": self.init_gain, "input_scale": self.input_scale,
+            "dtype": self.dtype,
         }
 
     def save(self, path):
@@ -453,6 +475,8 @@ class SlicerNet:
                 meta = json.load(fh)
             except ValueError as exc:
                 raise CheckpointError(f"{sidecar}: not a JSON sidecar: {exc}") from None
+        if type(meta) is dict:
+            meta.setdefault("dtype", "float64")
         _check_fields(meta, _META_FIELDS, sidecar)
         _check_fields(meta["neuron"], _NEURON_FIELDS, f"{sidecar} neuron")
         try:   # the sidecar fields are exactly the constructor's arguments
@@ -475,4 +499,4 @@ class SlicerNet:
                     f"checkpoint tensor {name} has shape {stored[name].shape}, "
                     f"expected {tensor.data.shape}"
                 )
-            tensor.data = stored[name]
+            tensor.data = stored[name].astype(self.dtype, copy=False)

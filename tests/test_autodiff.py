@@ -312,16 +312,24 @@ def test_linear_and_elementwise_grads(seed):
 
 
 
-@pytest.mark.parametrize("out_features", [1, 5, 64])
-def test_linear_fixed_rows_are_split_invariant(out_features):
+@pytest.mark.parametrize("out_features, dtype", [
+    *[pytest.param(n, np.float64, id=str(n)) for n in (1, 5, 64)],
+    *[pytest.param(n, np.float32, id=f"{n}-float32") for n in (1, 5, 64)],
+])
+def test_linear_fixed_rows_are_split_invariant(out_features, dtype):
     """With rows=CHUNK each row's bits do not depend on how the batch is cut,
-    for one output feature (a matrix-vector product) as for several."""
+    for one output feature (a matrix-vector product) as for several, and in
+    either float width."""
+    tol = 1e-12 if dtype == np.float64 else 1e-5
     r = rng_for(out_features)
-    x = r.normal(size=(2 * CHUNK + 3, 96)) * (r.random((2 * CHUNK + 3, 96)) < 0.3)
-    w, b = Tensor(r.normal(size=(out_features, 96))), Tensor(r.normal(size=out_features))
+    x = (r.normal(size=(2 * CHUNK + 3, 96)) * (r.random((2 * CHUNK + 3, 96)) < 0.3)).astype(dtype)
+    w = Tensor(r.normal(size=(out_features, 96)).astype(dtype))
+    b = Tensor(r.normal(size=out_features).astype(dtype))
     whole = np.concatenate([linear(Tensor(x[i:i + CHUNK]), w, b, rows=CHUNK).data
                             for i in range(0, len(x), CHUNK)])
-    np.testing.assert_allclose(whole, x @ w.data.T + b.data, rtol=1e-12, atol=1e-12)
+    assert whole.dtype == dtype
+    exact = x.astype(np.float64) @ w.data.T.astype(np.float64) + b.data
+    np.testing.assert_allclose(whole, exact, rtol=tol, atol=tol)
     for lo, hi in ((0, 1), (3, 4), (5, 10), (CHUNK - 1, CHUNK + 2), (len(x) - 2, len(x))):
         part = linear(Tensor(x[lo:hi]), w, b, rows=CHUNK).data
         assert part.tobytes() == whole[lo:hi].tobytes()
@@ -362,7 +370,8 @@ def test_default_net_grads_match_finite_differences():
     small input), checked at the first conv and the first group norm, whose
     gradient passes through every other layer's backward."""
     from evslicer.snn import DEFAULT_ARCH, SlicerNet
-    net = SlicerNet(DEFAULT_ARCH, in_hw=(8, 8), hidden_units=6, seed=4, init_gain=2.0)
+    net = SlicerNet(DEFAULT_ARCH, in_hw=(8, 8), hidden_units=6, seed=4, init_gain=2.0,
+                    dtype="float64")
     cells = rng_for(8).poisson(1.0, (CHUNK + 2, 2, 8, 8)).astype(np.float64)
     coef = Tensor(rng_for(9).normal(size=CHUNK + 2))
     params = net.parameters()[:4]        # conv0 weight and bias, gn0 weight and bias
@@ -392,6 +401,39 @@ def test_sum_inputs_accumulate_second_gradients_separately():
     assert b.grad.tolist() == (w + 100.0).tolist()
     assert s.grad.tolist() == w.tolist()
     assert s.grad.flags.writeable and loss.grad.flags.writeable
+
+
+def test_tensor_keeps_float32_and_widens_everything_else():
+    assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+    for value in (np.ones(2, np.int64), np.ones(2, bool), 1.5, [1, 2], np.ones(2, np.float16)):
+        assert Tensor(value).data.dtype == np.float64
+
+
+def test_float32_ops_keep_float32_values_and_gradients():
+    """Every op of the slicing net's body, forward and backward, stays in
+    float32 for float32 inputs; the cast hands a float64 gradient back as
+    float32."""
+    r = rng_for(5)
+
+    def f32(*shape, requires_grad=True):
+        return Tensor(r.normal(size=shape).astype(np.float32), requires_grad=requires_grad)
+
+    x, w, b = f32(CHUNK, 2, 5, 5), f32(4, 2, 3, 3), f32(4)
+    gw, gb, lw, lb = f32(4), f32(4), f32(3, 36), f32(3)
+    h = group_norm(conv2d(x, w, b, padding=1), 2, gw, gb)
+    s, v_end, potentials = neuron_scan(h, None, NeuronConfig())
+    h = adaptive_avg_pool(avg_pool(s, 2), (3, 3)) + spike(h, relaxed=True)[:, :, :3, :3]
+    h = linear(h.reshape(CHUNK, 36), lw, lb, rows=CHUNK)
+    y = ad.cast(concat([h, h]), np.float64)
+    assert y.data.dtype == np.float64 and ad.cast(y, np.float64) is y
+    assert v_end.data.dtype == potentials.dtype == np.float32
+    assert all(t.data.dtype == np.float32 for t in (s, h))
+    (y * Tensor(r.normal(size=y.shape))).sum().backward()
+    for t in (x, w, b, gw, gb, lw, lb, h):
+        assert t.grad.dtype == np.float32 and t.grad.shape == t.shape
+    np.testing.assert_array_equal(h.data, y.data[:CHUNK])
+    # the scan's backward factor, whose bool / float once promoted to float64
+    assert ad._surrogate(potentials, 1.0, 0.5).dtype == np.float32
 
 
 # ---------------------------------------------------------------------------

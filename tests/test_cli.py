@@ -1,5 +1,6 @@
 """End-to-end command-line tests: artifact layout, manifests, determinism,
 config precedence, exit codes, and the report formats."""
+import hashlib
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from evslicer.autodiff import load_named_tensors
 from evslicer.cli import load_cells, main
 from evslicer.events import Scenario, build_cells, parse_events, synth_stream
-from evslicer.snn import SlicerNet
+from evslicer.snn import DEFAULT_ARCH, SlicerNet
 
 MICRO_TRAIN = ["--arch", "LN-IF", "--hw", "8x8", "--n-steps", "6", "--target", "3",
                "--lr", "3e-4", "--max-iters", "200"]
@@ -122,6 +123,24 @@ class TestCells:
         assert loaded.dt_us == 10000 and loaded.t0 == direct.t0
         assert loaded.dropped_tail_events == direct.dropped_tail_events
 
+    def test_t0_beyond_int64_round_trips(self, tmp_path):
+        events = tmp_path / "late.csv"
+        events.write_text(f"t_us,x,y,p\n{2 ** 63 + 2},1,1,1\n{2 ** 63 + 9},2,2,-1\n")
+        rc = main(["cells", "--events", str(events), "--dt-us", "5",
+                   "--geometry", "8x8", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        loaded = load_cells(tmp_path / "cells.npz")
+        assert loaded.t0 == 2 ** 63 + 2 and len(loaded) == 1
+        assert loaded.grids.sum() == 1 and loaded.dropped_tail_events == 1
+
+    def test_negative_t0_exits_2_with_one_line(self, tmp_path, capsys):
+        events, _ = synth_csv(tmp_path)
+        rc = main(["cells", "--events", str(events), "--dt-us", "10000", "--geometry", "8x8",
+                   "--t0-us", "-5", "--span-us", "100000", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_csv_without_geometry_exits_2(self, tmp_path):
         events, _ = synth_csv(tmp_path)
         assert main(["cells", "--events", str(events), "--dt-us", "10000",
@@ -192,6 +211,27 @@ class TestTrain:
         cfg.write_text(json.dumps({"warp_speed": 9}))
         assert main(["train", "arena-i", "--config", str(cfg),
                      "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("task", ["arena-i", "feedback"])
+    @pytest.mark.parametrize("bad", [
+        {"lr_schedule": "bogus"}, {"lr": float("nan")}, {"lr": float("inf")},
+        {"lr": 0.0}, {"lr": -1e-3}, {"alpha0": -0.1}, {"alpha0": 1.5},
+        {"alpha0": float("nan")},
+    ], ids=["schedule", "lr-nan", "lr-inf", "lr-zero", "lr-negative",
+            "alpha0-low", "alpha0-high", "alpha0-nan"])
+    def test_bad_training_config_exits_2_with_one_line(self, tmp_path, capsys, task, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))     # NaN and Infinity, as Python's json writes them
+        events, _ = synth_csv(tmp_path)
+        extra = (MICRO_TRAIN if task == "arena-i"
+                 else ["--events", str(events), "--geometry", "8x8", "--target-events", "30"])
+        extra = [a for a in extra if a not in ("--lr", "3e-4")]
+        capsys.readouterr()
+        rc = main(["train", task, "--config", str(cfg), *extra, "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "history.jsonl").exists()
 
     def test_feedback_density_micro(self, tmp_path):
         events, _ = synth_csv(tmp_path, duration_ms=120, rate_per_ms=[[0, 120, 2.0]])
@@ -272,7 +312,40 @@ class TestSlice:
                      "--events", str(events), "--dt-us", "10000",
                      "--geometry", "8x8", "--out-dir", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("damage", ["truncated", "no_seed", "neuron_key", "not_json"])
+    def test_sidecar_without_dtype_reproduces_float64_decisions(self, tmp_path):
+        """A checkpoint written before nets had a dtype loads as a float64
+        net and slices exactly as before, byte for byte. Its output layer
+        emits a constant 0.1 per cell: ten float64 steps sum to just below
+        the threshold, ten of its float32 rounding to just above, so loading
+        it as float32 would cut one cell earlier."""
+        events, _ = synth_csv(tmp_path)
+        net = SlicerNet(DEFAULT_ARCH, in_hw=(8, 8), hidden_units=16, seed=0, dtype="float64")
+        net.layers[-1].weight.data[...] = 0.0
+        net.layers[-1].bias.data[...] = 0.1
+        ckpt = tmp_path / "ckpt.sslc"
+        net.save(ckpt)
+        sidecar = tmp_path / "ckpt.sslc.meta.json"
+        meta = json.loads(sidecar.read_text())
+        blobs, cuts = {}, {}
+        for dtype in (None, "float32"):
+            if dtype is None:
+                del meta["dtype"]
+            else:
+                meta["dtype"] = dtype
+            sidecar.write_text(json.dumps(meta))
+            out = tmp_path / f"out-{dtype}"
+            assert main(["slice", "--checkpoint", str(ckpt), "--events", str(events),
+                         "--dt-us", "2000", "--geometry", "8x8", "--out-dir", str(out)]) == 0
+            blobs[dtype] = (out / "decisions.jsonl").read_bytes()
+            cuts[dtype] = [(r["first_cell"], r["last_cell"])
+                           for r in map(json.loads, blobs[dtype].splitlines())]
+        assert cuts == {None: [(0, 10), (11, 21), (22, 28)], "float32": [(0, 9), (10, 19), (20, 28)]}
+        # the bytes the code before the dtype key wrote for this checkpoint and stream
+        assert (hashlib.sha256(blobs[None]).hexdigest()
+                == "a76fa915948a2243371b5df606335e3df2938a66b7ca3ebc9fd686e31b64184e")
+
+    @pytest.mark.parametrize("damage", ["truncated", "no_seed", "neuron_key", "not_json",
+                                        "dtype"])
     def test_malformed_checkpoint_exits_2_with_one_line(self, tmp_path, capsys, damage):
         events, _ = synth_csv(tmp_path)
         ckpt = micro_checkpoint(tmp_path)
@@ -284,7 +357,9 @@ class TestSlice:
             del meta["seed"]
         elif damage == "neuron_key":
             meta["neuron"]["tau"] = 2.0
-        if damage in ("no_seed", "neuron_key"):
+        elif damage == "dtype":
+            meta["dtype"] = "float16"
+        if damage in ("no_seed", "neuron_key", "dtype"):
             sidecar.write_text(json.dumps(meta))
         if damage == "not_json":
             sidecar.write_text("{")

@@ -205,6 +205,14 @@ class TestArena:
         with pytest.raises(DivergenceError, match=r"non-finite loss .* max\|U\|="):
             train_arena(build_arena_net(cfg), cfg)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_in_the_last_update_raises(self):
+        """The float32 update overflows, and no later loss would see it."""
+        cfg = ArenaConfig(seed=0, **{**MICRO, "lr": 1e38, "lr_schedule": "constant",
+                                     "max_iters": 1})
+        with pytest.raises(DivergenceError, match="non-finite parameters"):
+            train_arena(build_arena_net(cfg), cfg)
+
     def test_max_iters_zero(self):
         cfg = ArenaConfig(seed=0, **{**MICRO, "max_iters": 0})
         res = train_arena(build_arena_net(cfg), cfg)

@@ -11,7 +11,8 @@ from evslicer.snn import (
     CHUNK, DEFAULT_ARCH, NeuronConfig, SlicerNet, first_spike_index,
     parse_architecture, run_neuron,
 )
-from gradcheck import check_grads
+from evslicer.losses import timing_loss
+from gradcheck import check_grads, max_rel_error
 from timing_traces import in_band_trace, upper_violation_trace
 
 
@@ -215,13 +216,61 @@ def test_head_decides_through_run_neuron(seed, arch, leaky, v_reset):
     assert chunked_u.tobytes() == whole.noreset.data.tobytes()
 
 
+@given(seed=st.integers(0, 10 ** 6), split=st.integers(1, 2 * CHUNK + 2))
+@settings(max_examples=12, deadline=None)
+def test_default_float32_net_splits_are_bit_exact(seed, split):
+    """keep_state splits of the default float32 net reproduce the one-shot
+    forward bit for bit: spikes, potentials, currents and U."""
+    r = rng_for(seed)
+    net = SlicerNet(seed=seed, init_gain=float(r.uniform(1.0, 3.0)))
+    assert net.dtype == "float32"
+    cells = random_cells(seed, 2 * CHUNK + 3, hw=(32, 32))
+    whole = net.forward(cells)
+    parts = [net.forward(cells[:split]), net.forward(cells[split:], keep_state=True)]
+    for field in ("spikes", "potentials", "currents"):
+        chunked = np.concatenate([getattr(p, field) for p in parts])
+        assert chunked.tobytes() == getattr(whole, field).tobytes()
+    chunked_u = np.concatenate([p.noreset.data for p in parts])
+    assert chunked_u.tobytes() == whole.noreset.data.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_float32_gradients_match_float64(seed):
+    """The float32 body's analytic timing-loss gradients agree with the
+    same-seed float64 net's to 1e-4 relative (max deviation over
+    max(1, largest gradient), as in the finite-difference checks); these
+    seeds measured 5.7e-7 to 8.8e-7, with the ramp term active on seed 0."""
+    cells = random_cells(seed, 2 * CHUNK + 3, scale=2.0)
+    grads = {}
+    for dtype in ("float32", "float64"):
+        net = SlicerNet(DEFAULT_ARCH, in_hw=(8, 8), hidden_units=16, seed=seed,
+                        init_gain=2.0, dtype=dtype)
+        timing_loss(net.forward(cells), 2 * CHUNK, 0.5, net.neuron).total.backward()
+        grads[dtype] = [p.grad for p in net.parameters()]
+        assert all(g.dtype == dtype for g in grads[dtype])
+    assert max_rel_error(grads["float32"], grads["float64"]) <= 1e-4
+
+
+def test_body_runs_in_the_net_dtype_and_head_in_float64():
+    seen = []
+    for dtype in ("float32", "float64"):
+        net = small_net(dtype=dtype)
+        assert all(p.data.dtype == dtype for p in net.parameters())
+        currents = net.body(random_cells(1, 5), probe=lambda i, x: seen.append(x.data.dtype))
+        assert set(seen) == {np.dtype(dtype)} and currents.data.dtype == np.float64
+        seen.clear()
+    with pytest.raises(ValueError, match="dtype"):
+        small_net(dtype="float16")
+
+
 @pytest.mark.parametrize("steps", [1, CHUNK - 3, 2 * CHUNK + 3])
 @pytest.mark.parametrize("cfg", [NeuronConfig(), NeuronConfig(beta=0.9),
                                  NeuronConfig(v_reset=-0.4)], ids=["IF", "LIF", "reset-0.4"])
 def test_chunked_forward_gradients_match_finite_differences(cfg, steps):
     """Gradients through the time-major blocks, their carried membranes and
     a keep_state continuation, against central differences (relaxed mode)."""
-    net = SlicerNet("2C3-IF-LN-IF", in_hw=(4, 4), neuron=cfg, seed=steps, init_gain=2.0)
+    net = SlicerNet("2C3-IF-LN-IF", in_hw=(4, 4), neuron=cfg, seed=steps, init_gain=2.0,
+                    dtype="float64")
     cells = random_cells(steps, steps, hw=(4, 4))
     split = steps // 2
     coef = Tensor(rng_for(steps + 1).normal(size=steps))
@@ -264,14 +313,19 @@ def test_gradients_reach_every_parameter():
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_round_trip_reproduces_forward(tmp_path):
+    """float32 parameters are stored widened to <f8 and narrowed back on
+    load to the same values."""
     net = small_net(seed=13)
     cells = random_cells(14, 5)
     before = net.forward(cells).noreset.data
     path = tmp_path / "net.sslc"
     net.save(path)
+    assert all(v.dtype == np.float64 for v in load_named_tensors(path).values())
     again = SlicerNet.load(path)
     np.testing.assert_array_equal(again.forward(cells).noreset.data, before)
-    assert again.meta() == net.meta()
+    assert again.meta() == net.meta() and again.dtype == "float32"
+    for p, q in zip(net.parameters(), again.parameters()):
+        assert q.data.dtype == np.float32 and q.data.tobytes() == p.data.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +373,9 @@ def test_trailing_garbage_rejected(saved_net, tmp_path_factory, garbage):
     lambda m: m.update(hidden_units=True),
     lambda m: m.update(arch="16C3-XX-IF"),
     lambda m: m["neuron"].update(beta=2.0),
+    lambda m: m.update(dtype="float16"),
+    lambda m: m.update(dtype=32),
+    lambda m: m.update(dtype=None),
 ])
 def test_bad_sidecar_raises_checkpoint_error(tmp_path, change):
     net = small_net(seed=13)
