@@ -17,7 +17,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from evslicer.events import synth_stream
 from evslicer.feedback import DensityTargetOracle, train_feedback
@@ -27,7 +26,7 @@ from evslicer.presets import (
     density_feedback_preset,
     three_phase_scenario,
 )
-from evslicer.slicer import slice_report, slice_stream
+from evslicer.slicer import rank_correlation, slice_report, slice_stream
 
 
 def train_and_slice(stream, dt_us, target_events, seed):
@@ -55,7 +54,7 @@ def main():
         decisions, _ = train_and_slice(stream, 10_000, args.target_events, seed)
         density = [1e6 * d.n_events / d.duration_us for d in decisions]
         cut_rate = [1e6 / d.duration_us for d in decisions]
-        rho = float(spearmanr(density, cut_rate).statistic)
+        rho = rank_correlation(density, cut_rate)
         results["adaptivity"].append({"seed": seed, "spearman": rho,
                                       "n_slices": len(decisions)})
         print(f"seed {seed}: Spearman(density, cut rate) = {rho:.3f} "

@@ -17,6 +17,13 @@ backward passes over a fresh graph reproduce identical bytes. Backward
 closures receive the output gradient as an argument and reference only their
 inputs, keeping the graph acyclic for reference counting — unrolled training
 graphs free promptly without garbage-collector sweeps.
+
+Layout: every op hands on C-ordered arrays, as node data and as gradients.
+BLAS picks its kernel, and so the order in which it sums a product, by the
+layout of its operands, so an F-ordered array (a transposed GEMM result, say)
+passed on would silently change the bits of every later product that reads
+it. A kernel may multiply transposed operands to reach BLAS's fast path, as
+long as it copies the result back into a C-ordered buffer.
 """
 from __future__ import annotations
 
@@ -446,16 +453,22 @@ def linear(x, weight, bias=None, rows=None):
         )
     inputs = (x, weight) if bias is None else (x, weight, bias)
     x_data, w_data = x.data, weight.data
-    if rows is None:
-        y = x_data @ w_data.T
-    else:
-        m = x_data.shape[0]
-        padded = np.zeros((-(-m // rows) * rows, x_data.shape[1]), dtype=x_data.dtype)
+    m = x_data.shape[0]
+    rows = rows or max(m, 1)
+    padded = x_data
+    if m % rows:
+        padded = np.zeros((m + rows - m % rows, x_data.shape[1]), dtype=x_data.dtype)
         padded[:m] = x_data
-        y = np.concatenate([padded[i:i + rows] @ w_data.T
-                            for i in range(0, len(padded), rows)])[:m]
+    y = np.empty((len(padded), w_data.shape[0]), dtype=np.result_type(x_data, w_data))
+    for i in range(0, len(padded), rows):
+        # weight @ block.T, the same sums as block @ weight.T: OpenBLAS
+        # multiplies the weight as stored instead of repacking its transpose
+        # on every call, twice as fast for fc0. Copied into y, so the result
+        # stays C-ordered (see the module docstring).
+        y[i:i + rows] = (w_data @ padded[i:i + rows].T).T
+    y = y[:m]
     if bias is not None:
-        y = y + bias.data
+        y += bias.data
     out = _node(y, inputs)
     if out.requires_grad:
         def _bw(g):
@@ -474,11 +487,15 @@ def linear(x, weight, bias=None, rows=None):
 # ---------------------------------------------------------------------------
 
 def _im2col(padded, kh, kw, stride):
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    n, c, oh, ow = windows.shape[:4]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
-    return np.ascontiguousarray(cols), oh, ow
+    """(n, c*kh*kw, oh*ow) columns of padded's kh x kw windows: one strided
+    copy per kernel offset, faster than copying a transposed window view."""
+    n, c, hp, wp = padded.shape
+    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=padded.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = padded[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride]
+    return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
 
 
 def _col2im(dcols, padded_shape, kh, kw, stride, oh, ow):
@@ -510,7 +527,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     wmat = weight.data.reshape(cout, cin * kh * kw)
     y = np.matmul(wmat[None], cols).reshape(n, cout, oh, ow)
     if bias is not None:
-        y = y + bias.data.reshape(1, cout, 1, 1)
+        y += bias.data.reshape(1, cout, 1, 1)
     inputs = (x, weight) if bias is None else (x, weight, bias)
     out = _node(y, inputs)
     if out.requires_grad:
@@ -520,8 +537,11 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
         def _bw(g):
             gmat = g.reshape(n, cout, oh * ow)
             if weight.requires_grad:
-                dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
-                _accum(weight, dw.reshape(cout, cin_w, kh, kw))
+                # the columns as stored times the transposed gradient, the
+                # same sums as gmat @ cols.T but faster; transposed back
+                # into a C-ordered array
+                dw = np.matmul(cols, gmat.transpose(0, 2, 1)).sum(axis=0)
+                _accum(weight, np.ascontiguousarray(dw.T).reshape(cout, cin_w, kh, kw))
             if bias is not None and bias.requires_grad:
                 _accum(bias, g.sum(axis=(0, 2, 3)).reshape(bias_shape))
             if x.requires_grad:
@@ -556,8 +576,13 @@ def _block_mean(x, data, kh, kw):
         h, w = x.data.shape[2:]
 
         def _bw(g):
+            # kh*kw strided writes: filling a 6-d broadcast view whose inner
+            # extent is kw ran 3-4x slower
+            g = g * (1.0 / (kh * kw))
             full = np.empty((n, c, hp, wp), dtype=data.dtype)
-            full.reshape(n, c, oh, kh, ow, kw)[...] = (g * (1.0 / (kh * kw)))[:, :, :, None, :, None]
+            for i in range(kh):
+                for j in range(kw):
+                    full[:, :, i::kh, j::kw] = g
             _accum(x, full if (h, w) == (hp, wp) else full[:, :, :h, :w])
         out._backward = _bw
     return out
@@ -636,9 +661,12 @@ def group_norm(x, groups, weight, bias, eps=1e-5):
     centered = xg - mu
     var = (centered * centered).mean(axis=2, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (centered * inv).reshape(n, c, h, w)
+    centered *= inv
+    xhat = centered.reshape(n, c, h, w)
     w_col = weight.data.reshape(1, c, 1, 1)
-    out = _node(xhat * w_col + bias.data.reshape(1, c, 1, 1), (x, weight, bias))
+    y = xhat * w_col
+    y += bias.data.reshape(1, c, 1, 1)
+    out = _node(y, (x, weight, bias))
     if out.requires_grad:
         def _bw(g):
             if weight.requires_grad:
@@ -646,12 +674,13 @@ def group_norm(x, groups, weight, bias, eps=1e-5):
             if bias.requires_grad:
                 _accum(bias, g.sum(axis=(0, 2, 3)).reshape(bias.data.shape))
             if x.requires_grad:
-                gy = (g * w_col).reshape(n, groups, -1)
-                xh = xhat.reshape(n, groups, -1)
+                dx = g * w_col
+                gy = dx.reshape(n, groups, -1)
                 m1 = gy.mean(axis=2, keepdims=True)
-                m2 = (gy * xh).mean(axis=2, keepdims=True)
-                dx = np.empty((n, c, h, w), dtype=x.data.dtype)
-                np.multiply(inv, gy - m1 - xh * m2, out=dx.reshape(n, groups, -1))
+                m2 = (gy * centered).mean(axis=2, keepdims=True)
+                gy -= m1
+                gy -= centered * m2
+                gy *= inv
                 _accum(x, dx)
         out._backward = _bw
     return out
@@ -671,7 +700,7 @@ def _fire(v, v_th, window, relaxed):
 def _surrogate(v, v_th, window):
     """The spike's backward derivative: 1/(2*window) where |v - v_th| <= window,
     in v's dtype."""
-    return (np.abs(v - v_th) <= window).astype(v.dtype) / (2.0 * window)
+    return (np.abs(v - v_th) <= window) * (v.dtype.type(1.0) / v.dtype.type(2.0 * window))
 
 
 def spike(v, v_th=1.0, window=0.5, relaxed=False):
@@ -723,12 +752,22 @@ def neuron_scan(current, v0, neuron, reset=True, relaxed=False):
     drive = current.data if gamma == 1.0 else gamma * current.data
     potentials = np.empty_like(drive)
     spikes = np.empty_like(drive) if reset else None
+    top = np.finfo(drive.dtype).max
     v = v_reset if v0 is None else v0.data
     for t in range(drive.shape[0]):
         v = potentials[t] = (v if beta == 1.0 else beta * v) + drive[t]
         if reset:
             s = spikes[t] = _fire(v, v_th, window, relaxed)
-            v = v * (1.0 - s) + v_reset * s if relaxed else np.where(s > 0.0, v_reset, v)
+            if relaxed:
+                v = v * (1.0 - s) + v_reset * s
+            else:
+                # v_reset where s fired, v elsewhere: the same values as
+                # np.where(s > 0, v_reset, v) without its slow masked loop.
+                # Clipping to the largest finite value lets +inf reset to
+                # v_reset instead of becoming inf * 0 = NaN.
+                v = np.minimum(v, top) * (1.0 - s)
+                if v_reset != 0.0:
+                    v += v_reset * s
     inputs = (current,) if v0 is None else (current, v0)
     out = _node(spikes if reset else potentials, inputs)
     v_end = _node(np.array(v, dtype=drive.dtype), (out,))

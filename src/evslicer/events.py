@@ -154,8 +154,9 @@ def build_cells(stream, dt_us, n_cells=None):
     """
     if dt_us <= 0:
         raise ValueError(f"dt_us must be positive, got {dt_us}")
-    n = stream.span_us // dt_us if n_cells is None else n_cells
-    n = int(n)
+    if n_cells is not None and n_cells <= 0:
+        raise ValueError(f"n_cells must be positive, got {n_cells}")
+    n = int(stream.span_us // dt_us if n_cells is None else n_cells)
     if n <= 0:
         raise ValueError(
             f"stream span {stream.span_us}us shorter than one {dt_us}us cell"

@@ -390,7 +390,7 @@ class FeedbackConfig:
     samples_per_epoch: int = 40
     window: int = 12
     d: int = 2
-    lr: float = 0.05
+    lr: float = 1e-3      # the presets' rate for the LN-IF head; 0.05 diverged it
     lr_schedule: str = "cosine"
     alpha0: float = 0.5
     eta: float = 0.05

@@ -25,8 +25,8 @@ from .snn import first_spike_index
 
 __all__ = [
     "SliceDecision", "spike_cuts", "decisions_from_cuts", "slice_stream",
-    "slice_report", "fixed_duration_cuts", "fixed_count_cuts", "random_cuts",
-    "decision_record",
+    "slice_report", "rank_correlation", "fixed_duration_cuts", "fixed_count_cuts",
+    "random_cuts", "decision_record",
 ]
 
 
@@ -156,6 +156,27 @@ def slice_report(decisions, stream, n_cells, dt_us):
         "mean_events_per_slice": float(np.mean(event_counts)) if event_counts else 0.0,
         "cut_density_per_ms": cut_density,
     }
+
+
+def _average_ranks(values):
+    """1-based ranks of values; tied values share the mean of their ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
+def rank_correlation(a, b):
+    """Spearman's rho of two equally long samples: the Pearson correlation
+    of their average-tie ranks, NaN if either sample is constant. Computed
+    as scipy.stats.spearmanr does, which gives the same float."""
+    ranks = np.column_stack([_average_ranks(np.asarray(v, dtype=np.float64)) for v in (a, b)])
+    if (ranks == ranks[0]).all(axis=0).any():
+        return float("nan")
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ numbers next to the pinned bound.
 The bounds are deliberately written as literals here rather than imported
 from the library: loosening one is a decision, not a tuning knob. The heavy
 checks (1, 2, 7-9, 11) train real networks; on a shared 2-vCPU VM the whole
-gate took 7.6 s, 3.9 s of it check 1, and every other check took under 2 s.
+gate took 13.7-15.5 s, 7.4-8.1 s of it check 1 and 2.7 s check 11, and every
+other check took under 0.5 s.
 """
 import numpy as np
-from scipy.stats import spearmanr
 
 from conftest import record_check
 from evslicer.energy import LayerStats, energy_joules, energy_report
@@ -30,7 +30,7 @@ from evslicer.presets import (
     density_feedback_preset,
     three_phase_scenario,
 )
-from evslicer.slicer import slice_report, slice_stream
+from evslicer.slicer import rank_correlation, slice_report, slice_stream
 from evslicer.snn import NeuronConfig, SlicerNet, run_neuron
 
 from gradcheck import check_grads
@@ -261,7 +261,7 @@ def test_07_density_adaptivity():
         decisions = _train_density_slicer(stream, 10_000, 120, seed)
         density = [1e6 * d.n_events / d.duration_us for d in decisions]
         cut_rate = [1e6 / d.duration_us for d in decisions]
-        rhos.append(float(spearmanr(density, cut_rate).statistic))
+        rhos.append(rank_correlation(density, cut_rate))
         counts.append(len(decisions))
     ok = all(r > 0.5 for r in rhos)
     shown = ", ".join(f"{r:.3f}" for r in rhos)

@@ -141,6 +141,16 @@ class TestCells:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("n_cells", ["0", "-3"])
+    def test_non_positive_cell_count_exits_2_naming_it(self, tmp_path, capsys, n_cells):
+        events = tmp_path / "two.csv"
+        events.write_text("t_us,x,y,p\n10,1,1,1\n14,2,2,-1\n")
+        rc = main(["cells", "--events", str(events), "--dt-us", "2", "--n-cells", n_cells,
+                   "--geometry", "8x8", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: n_cells must be positive, got {n_cells}\n"
+
     def test_csv_without_geometry_exits_2(self, tmp_path):
         events, _ = synth_csv(tmp_path)
         assert main(["cells", "--events", str(events), "--dt-us", "10000",

@@ -4,7 +4,7 @@ oracle-feedback loop mechanics, and the policy comparison scaffold."""
 import numpy as np
 import pytest
 
-from evslicer.events import EventStream, build_cells
+from evslicer.events import EventStream, Scenario, build_cells, synth_stream
 from evslicer.feedback import (
     ArenaConfig,
     ArenaResult,
@@ -24,6 +24,7 @@ from evslicer.feedback import (
     train_arena,
     train_feedback,
 )
+from evslicer.snn import SlicerNet
 
 MICRO = dict(task="arena-i", arch="LN-IF", in_hw=(8, 8), n_steps=6,
              max_iters=200, lr=3e-4, target=3)
@@ -302,6 +303,23 @@ class TestFeedbackLoop:
         assert len(calls) == 1          # epochs=2, finetune after epoch index 1
         assert calls[0] > 0
         assert any("finetune_samples" in h for h in result.history)
+
+    def test_default_config_trains_the_cli_head(self):
+        """FeedbackConfig's defaults on the head `train feedback` builds by
+        default (LN-IF on 32x32 cells) train without diverging, on two bar
+        streams whose rate runs 2, 6, then 2 events/ms; a default lr of 0.05
+        once diverged here within the first two epochs."""
+        scenario = Scenario(duration_ms=600, rate_per_ms=[[0, 200, 2.0], [200, 400, 6.0],
+                                                          [400, 600, 2.0]])
+        streams = [synth_stream(scenario, seed=seed) for seed in (1, 2)]
+        net = SlicerNet("LN-IF", in_hw=(32, 32), seed=0)
+        cfg = FeedbackConfig()
+        result = train_feedback(net, DensityTargetOracle(120), streams, cfg)
+        losses = [h["loss"] for h in result.history if "loss" in h]
+        assert len(losses) == cfg.epochs * cfg.samples_per_epoch and result.skipped == 0
+        assert np.isfinite(losses).all()
+        assert losses[-1] < losses[0]
+        assert np.mean(losses[-cfg.samples_per_epoch:]) < np.mean(losses[:cfg.samples_per_epoch])
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="radius"):

@@ -13,6 +13,7 @@ from evslicer.slicer import (
     fixed_count_cuts,
     fixed_duration_cuts,
     random_cuts,
+    rank_correlation,
     slice_report,
     slice_stream,
     spike_cuts,
@@ -209,6 +210,29 @@ class TestReport:
         counts = cells.counts()
         assert rep["cut_density_per_ms"][0] == pytest.approx(counts[2] / 100 * 1000)
         assert rep["cut_density_per_ms"][1] == pytest.approx(counts[7] / 100 * 1000)
+
+
+class TestRankCorrelation:
+    def test_hand_value_with_ties(self):
+        # ranks [1, 2.5, 2.5, 4] and [1, 3, 2, 4]: rho = 4.5 / sqrt(4.5 * 5)
+        assert rank_correlation([1, 2, 2, 3], [10, 30, 20, 40]) == pytest.approx(np.sqrt(0.9),
+                                                                                rel=1e-15)
+
+    def test_monotone_and_constant_samples(self):
+        x = [0.3, 5.0, 1.0, 2.0, 2.0]
+        assert rank_correlation(x, np.exp(x)) == pytest.approx(1.0)
+        assert rank_correlation(x, [-v for v in x]) == pytest.approx(-1.0)
+        assert np.isnan(rank_correlation(x, [7.0] * 5))
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.floats(-1e6, 1e6)), min_size=2, max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_same_float_as_scipy(self, pairs):
+        stats = pytest.importorskip("scipy.stats")
+        a, b = (np.array(v, dtype=float) for v in zip(*pairs))
+        if (a == a[0]).all() or (b == b[0]).all():
+            assert np.isnan(rank_correlation(a, b))
+        else:
+            assert rank_correlation(a, b) == float(stats.spearmanr(a, b).statistic)
 
 
 class TestBaselines:
