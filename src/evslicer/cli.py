@@ -27,7 +27,6 @@ from . import __version__
 from .autodiff import save_named_tensors
 from .energy import energy_report, profile_network
 from .events import (
-    EventFormatError,
     Scenario,
     build_cells,
     density_profile,
@@ -47,6 +46,7 @@ from .feedback import (
     train_arena,
     train_feedback,
 )
+from .schema import from_json
 from .slicer import decision_record, slice_report, slice_stream
 from .snn import SlicerNet
 
@@ -97,20 +97,12 @@ def _load_config_file(path):
     return raw
 
 
-def build_dataclass(cls, file_cfg, overrides):
-    """Resolve a config dataclass: defaults, then file keys, then CLI flags."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(file_cfg) - names)
-    if unknown:
-        raise ConfigError(f"unknown config keys for {cls.__name__}: {unknown}")
-    merged = dict(file_cfg)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    if "in_hw" in merged:
-        merged["in_hw"] = tuple(merged["in_hw"])
-    try:
-        return cls(**merged)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+def build_dataclass(cls, file_cfg, args, **flags):
+    """Resolve a config dataclass: defaults, then file keys, then the flags
+    that were given (not None): those in args named like a field, and `flags`."""
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)} | flags
+    return from_json(cls, file_cfg | {k: v for k, v in given.items() if v is not None},
+                     ConfigError, cls.__name__)
 
 
 def _read_stream(path, geometry=None, t0=None, span_us=None):
@@ -200,14 +192,6 @@ def load_cells(path):
 # train
 # ---------------------------------------------------------------------------
 
-_ARENA_FLAGS = ("arch", "n_steps", "max_iters", "streak", "lr", "lr_schedule",
-                "alpha0", "eta", "noise_prob", "cell_rate", "target",
-                "hidden_units", "input_scale")
-_FEEDBACK_FLAGS = ("dt_us", "epochs", "samples_per_epoch", "window", "d", "lr",
-                   "lr_schedule", "alpha0", "eta", "repr_kind", "n_bins",
-                   "finetune_start")
-
-
 def _dump_history(path, history):
     with open(path, "w") as fh:
         for entry in history:
@@ -224,18 +208,10 @@ def cmd_train(args):
     result_path = out_dir / "result.json"
 
     if args.task in ("arena-i", "arena-ii"):
-        overrides = {name: getattr(args, name) for name in _ARENA_FLAGS}
-        if args.hw:
-            overrides["in_hw"] = _parse_geometry(args.hw)
-        overrides["task"] = args.task
-        overrides["seed"] = args.seed
-        cfg = build_dataclass(ArenaConfig, file_cfg, overrides)
+        cfg = build_dataclass(ArenaConfig, file_cfg, args,
+                              in_hw=_parse_geometry(args.hw) if args.hw else None)
         net = build_arena_net(cfg)
-        try:
-            res = train_arena(net, cfg)
-        except DivergenceError as exc:
-            print(f"training diverged: {exc}", file=sys.stderr)
-            raise
+        res = train_arena(net, cfg)
         _dump_history(history_path, res.history)
         summary = {"task": cfg.task, "converged_at": res.converged_at,
                    "iterations": res.iterations, "n_star": res.n_star,
@@ -246,7 +222,7 @@ def cmd_train(args):
             outputs["checkpoint"] = ckpt
         result_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         write_manifest(out_dir, f"train {args.task}", dataclasses.asdict(cfg),
-                       args.seed, {}, outputs, started)
+                       cfg.seed, {}, outputs, started)
         print(f"{args.task}: n*={res.n_star} converged_at={res.converged_at} "
               f"iterations={res.iterations}")
         return 0
@@ -255,11 +231,9 @@ def cmd_train(args):
     if not args.events:
         raise ConfigError("train feedback needs at least one --events file")
     geometry = _parse_geometry(args.geometry) if args.geometry else None
-    overrides = {name: getattr(args, name) for name in _FEEDBACK_FLAGS}
-    overrides["seed"] = args.seed
-    cfg = build_dataclass(FeedbackConfig, file_cfg, overrides)
+    cfg = build_dataclass(FeedbackConfig, file_cfg, args)
     if args.oracle == "density":
-        if not args.target_events:
+        if args.target_events is None:
             raise ConfigError("--oracle density needs --target-events")
         oracle = DensityTargetOracle(args.target_events)
         data = [_read_stream(p, geometry, args.t0_us, args.span_us) for p in args.events]
@@ -268,26 +242,23 @@ def cmd_train(args):
         sample = data[0][0]
         in_shape = (2, sample.height, sample.width)
         n_classes = max(label for _, label in data) + 1
-        oracle = ToyClassifierOracle(in_shape, n_classes=n_classes, seed=args.seed)
+        oracle = ToyClassifierOracle(in_shape, n_classes=n_classes, seed=cfg.seed)
     if args.init_checkpoint:
         net = SlicerNet.load(args.init_checkpoint)
     else:
         first = data[0][0] if isinstance(data[0], tuple) else data[0]
-        net = SlicerNet(args.arch or "LN-IF", in_hw=(first.height, first.width),
-                        hidden_units=args.hidden_units or 512, seed=args.seed,
-                        input_scale=args.input_scale or 1.0)
-    try:
-        res = train_feedback(net, oracle, data, cfg)
-    except DivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        raise
+        net = SlicerNet("LN-IF" if args.arch is None else args.arch,
+                        in_hw=(first.height, first.width), seed=cfg.seed,
+                        hidden_units=512 if args.hidden_units is None else args.hidden_units,
+                        input_scale=1.0 if args.input_scale is None else args.input_scale)
+    res = train_feedback(net, oracle, data, cfg)
     _dump_history(history_path, res.history)
     net.save(ckpt)
     summary = {"task": "feedback", "oracle": args.oracle, "epochs": res.epochs,
                "samples": res.samples, "skipped": res.skipped,
                "alpha_final": res.alpha_final, "elapsed_s": round(res.elapsed_s, 3)}
     result_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    write_manifest(out_dir, "train feedback", dataclasses.asdict(cfg), args.seed,
+    write_manifest(out_dir, "train feedback", dataclasses.asdict(cfg), cfg.seed,
                    {f"events{i}": p for i, p in enumerate(args.events)},
                    {"history": history_path, "result": result_path, "checkpoint": ckpt},
                    started)
@@ -447,11 +418,12 @@ def cmd_report(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="run seed")
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--out-dir", default=".", help="artifact directory")
     common.add_argument("--jobs", type=int, default=1,
                         help="workers for commands over multiple independent streams")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="run seed")
 
     stream_flags = argparse.ArgumentParser(add_help=False)
     stream_flags.add_argument("--geometry", help="WxH, required for CSV event inputs")
@@ -466,14 +438,14 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", parents=[common],
+    p_synth = sub.add_parser("synth", parents=[seeded],
                              help="generate a synthetic event stream from a scenario")
     p_synth.add_argument("--scenario", required=True, help="scenario JSON path")
     p_synth.add_argument("--out", help="output file name (default events.csv)")
     p_synth.add_argument("--fmt", choices=("csv", "binary"), default="csv")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_cells = sub.add_parser("cells", parents=[common, stream_flags],
+    p_cells = sub.add_parser("cells", parents=[seeded, stream_flags],
                              help="bin an event file into fixed-duration cell grids")
     p_cells.add_argument("--events", required=True)
     p_cells.add_argument("--dt-us", type=int, required=True)
@@ -484,6 +456,8 @@ def build_parser():
     p_train = sub.add_parser("train", parents=[common, stream_flags],
                              help="warm-up arena or oracle-feedback training")
     p_train.add_argument("task", choices=("arena-i", "arena-ii", "feedback"))
+    # no default here: a seed from --config applies unless the flag is given
+    p_train.add_argument("--seed", type=int, help="run seed (default 0)")
     p_train.add_argument("--arch", help="architecture string")
     p_train.add_argument("--hw", help="input geometry WxH (arena tasks)")
     p_train.add_argument("--n-steps", type=int, dest="n_steps")
@@ -516,7 +490,7 @@ def build_parser():
                          help="start feedback training from this checkpoint")
     p_train.set_defaults(func=cmd_train)
 
-    p_slice = sub.add_parser("slice", parents=[common, stream_flags],
+    p_slice = sub.add_parser("slice", parents=[seeded, stream_flags],
                              help="run a checkpoint over event files and emit decisions")
     p_slice.add_argument("--checkpoint", required=True)
     p_slice.add_argument("--events", nargs="+", required=True)
@@ -533,7 +507,7 @@ def build_parser():
                          help="write each slice representation as an .sslc tensor file")
     p_slice.set_defaults(func=cmd_slice)
 
-    p_report = sub.add_parser("report", parents=[common, stream_flags],
+    p_report = sub.add_parser("report", parents=[seeded, stream_flags],
                               help="density / energy / policy-comparison artifacts")
     p_report.add_argument("kind", choices=("density", "energy", "compare"))
     p_report.add_argument("--events", help="event file (density, energy)")
@@ -561,9 +535,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DivergenceError:
+    except DivergenceError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, EventFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:     # ConfigError and the input errors among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

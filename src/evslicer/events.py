@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .schema import check_fields, declared, from_json
+
 EVENT_MAGIC = b"SSEV"
 EVENT_VERSION = 1
 
@@ -181,24 +183,20 @@ def _window_index(stream, dt_us):
     return (stream.t - np.uint64(stream.t0)) // np.uint64(dt_us)
 
 
-def _first_at_or_after(t, bound):
-    """Index of the first of the sorted uint64 stamps t that is >= bound.
-
-    The bound is searched as a uint64: a Python int would make searchsorted
-    convert the whole array on every call."""
-    if bound <= 0:
-        return 0
-    if bound > _T_MAX:
-        return int(t.size)
-    return int(np.searchsorted(t, np.uint64(bound), side="left"))
+def _first_at_or_after(t, bounds):
+    """Index of the first of the sorted uint64 stamps t that is >= each of
+    the integer bounds, in one search over the bounds clamped to uint64 (a
+    Python int would make searchsorted convert the whole array)."""
+    found = np.searchsorted(t, np.array([min(max(b, 0), _T_MAX) for b in bounds], np.uint64))
+    found[[b > _T_MAX for b in bounds]] = t.size
+    return found
 
 
 def event_group(stream, t_start_us, t_end_us):
     """Events with t in the half-open interval [t_start, t_end)."""
     if t_end_us < t_start_us:
         raise ValueError(f"empty-ordered interval [{t_start_us}, {t_end_us})")
-    lo = _first_at_or_after(stream.t, t_start_us)
-    hi = _first_at_or_after(stream.t, t_end_us)
+    lo, hi = _first_at_or_after(stream.t, (t_start_us, t_end_us)).tolist()
     return RawEventGroup(stream=stream, t_start_us=int(t_start_us), t_end_us=int(t_end_us),
                          indices=slice(lo, hi))
 
@@ -275,10 +273,14 @@ def render_cells(stream, cells, first, last, kind="frame", n_bins=5, tau_us=None
 
 
 def event_density(stream, t_us, dt_us):
-    """Events per microsecond in the half-open window [t, t + dt)."""
+    """Events per microsecond in the half-open window [t, t + dt) of a start
+    time t_us, or (an array) of each of a sequence of them, in one search."""
     if dt_us <= 0:
         raise ValueError(f"dt_us must be positive, got {dt_us}")
-    return len(event_group(stream, t_us, t_us + dt_us)) / float(dt_us)
+    starts = [int(t) for t in t_us] if np.iterable(t_us) else [int(t_us)]
+    found = _first_at_or_after(stream.t, starts + [t + dt_us for t in starts])
+    density = (found[len(starts):] - found[:len(starts)]) / float(dt_us)
+    return density if np.iterable(t_us) else float(density[0])
 
 
 def density_profile(stream, dt_us):
@@ -426,6 +428,9 @@ def parse_events(data, fmt, width=None, height=None, t0=None, span_us=None):
 # synthetic streams
 # ---------------------------------------------------------------------------
 
+Segments = list[tuple[float, float, float]]
+
+
 @dataclass
 class Scenario:
     """Script for a synthetic recording: a full-height bright bar translating
@@ -433,42 +438,23 @@ class Scenario:
     its trailing edge, with piecewise-constant event rate and speed schedules.
     """
 
-    width: int = 32
-    height: int = 32
-    duration_ms: int = 1000
+    width: int = declared(32, f"[1, {_XY_MAX + 1}]")    # x and y are stored as uint16
+    height: int = declared(32, f"[1, {_XY_MAX + 1}]")
+    duration_ms: int = declared(1000, "[0, inf)")
     # segments are [start_ms, end_ms, value]; gaps contribute nothing
-    rate_per_ms: list = field(default_factory=lambda: [[0, 1000, 20.0]])
-    speed_px_per_ms: list = field(default_factory=lambda: [[0, 1000, 0.05]])
-    bar_width_px: int = 4
+    rate_per_ms: Segments = field(default_factory=lambda: [[0, 1000, 20.0]])
+    speed_px_per_ms: Segments = field(default_factory=lambda: [[0, 1000, 0.05]])
+    bar_width_px: int = declared(4, "[0, inf)")
     start_x_px: float = 0.0
-    jitter_px: float = 1.0
-    noise_rate_per_ms: float = 0.0
+    jitter_px: float = declared(1.0, "[0, inf)")
+    noise_rate_per_ms: float = declared(0.0, "[0, inf)")
+
+    def __post_init__(self):
+        check_fields(self)
 
     @staticmethod
     def from_json(text):
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise EventFormatError(f"scenario must be a JSON object, got {type(raw).__name__}")
-        fields = Scenario.__dataclass_fields__
-        unknown = set(raw) - set(fields)
-        if unknown:
-            raise EventFormatError(f"unknown scenario fields: {sorted(unknown)}")
-        for name, value in raw.items():
-            kind = fields[name].type          # the annotation, as a string
-            if kind == "int" and not _is_int(value):
-                raise EventFormatError(f"scenario field {name!r} must be an integer, got {value!r}")
-            if kind == "float" and not _is_number(value):
-                raise EventFormatError(f"scenario field {name!r} must be a number, got {value!r}")
-            if kind == "list" and not (isinstance(value, list) and all(
-                    isinstance(seg, list) and len(seg) == 3 and all(map(_is_number, seg))
-                    for seg in value)):
-                raise EventFormatError(f"scenario field {name!r} must be a list of "
-                                       f"[start_ms, end_ms, value] triples, got {value!r}")
-        for name in ("width", "height"):      # x and y are stored as uint16
-            if not 1 <= raw.get(name, 1) <= _XY_MAX + 1:
-                raise EventFormatError(f"scenario {name} must lie in [1, {_XY_MAX + 1}], "
-                                       f"got {raw[name]}")
-        return Scenario(**raw)
+        return from_json(Scenario, json.loads(text), EventFormatError, "scenario")
 
     def to_json(self):
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
@@ -478,14 +464,6 @@ class Scenario:
             if start <= t_ms < end:
                 return float(value)
         return 0.0
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    return _is_int(value) or isinstance(value, float) and np.isfinite(value)
 
 
 def synth_stream(scenario, seed=0):

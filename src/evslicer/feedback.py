@@ -18,7 +18,6 @@ differentiable classifier over rendered frames, supporting finetune).
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -28,8 +27,9 @@ from . import autodiff as ad
 from .autodiff import SGD, Tensor
 from .events import EventStream, build_cells, render_cells
 from .losses import timing_loss, update_alpha
+from .schema import check_fields, declared
 from .slicer import decisions_from_cuts, fixed_duration_cuts, spike_cuts
-from .snn import DEFAULT_ARCH, SlicerNet, first_spike_index
+from .snn import DEFAULT_ARCH, OVERFLOW_SILENT, SlicerNet, first_spike_index
 
 __all__ = [
     "EvalContext", "OracleFeedback", "ScriptedOracle", "DensityTargetOracle",
@@ -56,23 +56,11 @@ def cosine_lr(base, step, total):
     return base * 0.5 * (1.0 + np.cos(np.pi * min(step, total) / total))
 
 
-# A diverging net overflows in its float32 body, in the loss or in the
-# update; the trainers run all three under this state, so the overflow runs
-# on as inf or nan into the next loss and the finiteness check in
-# _supervised_step, not a numpy warning, reports it as a DivergenceError.
-_DIVERGENCE_SILENT = dict(over="ignore", invalid="ignore")
-
-
-def _forward(net, cells):
-    """net.forward for the trainers (see _DIVERGENCE_SILENT)."""
-    with np.errstate(**_DIVERGENCE_SILENT):
-        return net.forward(cells)
-
-
 def _supervised_step(net, opt, cfg, record, n_star, alpha, step, total, unit):
     """One timing-loss SGD step towards firing at n_star: loss, finiteness
     check, backward, scheduled learning rate. Returns (parts, loss, lr)."""
-    with np.errstate(**_DIVERGENCE_SILENT):
+    # an overflow in the forward (see OVERFLOW_SILENT), loss or update runs on into the check
+    with np.errstate(**OVERFLOW_SILENT):
         parts = timing_loss(record, n_star, alpha, net.neuron)
         loss_val = parts.mem + parts.ramp
         if not np.isfinite(loss_val):
@@ -90,16 +78,6 @@ def _check_finite_parameters(net):
     """The last update of a run has no next loss to report its overflow."""
     if not all(np.isfinite(p.data).all() for p in net.parameters()):
         raise DivergenceError("non-finite parameters after the last update")
-
-
-def _check_shared_fields(cfg):
-    """The checks both trainers' configs share."""
-    if cfg.lr_schedule not in ("cosine", "constant"):
-        raise ValueError(f"lr_schedule must be 'cosine' or 'constant', got {cfg.lr_schedule!r}")
-    if not (math.isfinite(cfg.lr) and cfg.lr > 0.0):
-        raise ValueError(f"lr must be a positive finite number, got {cfg.lr}")
-    if not 0.0 <= cfg.alpha0 <= 1.0:
-        raise ValueError(f"alpha0 must lie in [0, 1], got {cfg.alpha0}")
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +233,9 @@ def neighborhood_search(stream, cells, n_p, n_c, d, oracle, *, repr_kind="frame"
 # warm-up arena
 # ---------------------------------------------------------------------------
 
+LR_SCHEDULES = ("cosine", "constant")
+
+
 @dataclass
 class ArenaConfig:
     """Warm-up task setup. task-i: one fixed random cell (repeated across
@@ -262,34 +243,28 @@ class ArenaConfig:
     iteration and the supervised target replaced by a random wrong step
     with noise_prob."""
 
-    task: str = "arena-i"
+    task: str = declared("arena-i", choices=("arena-i", "arena-ii"))
     arch: str = DEFAULT_ARCH
-    in_hw: tuple = (32, 32)
-    n_steps: int = 30
-    max_iters: int = 400
-    streak: int = 10
-    lr: float = 1e-4
-    lr_schedule: str = "cosine"          # "cosine" | "constant"
-    alpha0: float = 0.5
-    eta: float = 0.05
-    noise_prob: float = 0.15
-    cell_rate: float = 0.5               # Poisson intensity per pixel
-    target: int | None = None            # desired step; None -> drawn from seed
-    seed: int = 0
-    hidden_units: int = 512
-    init_gain: float = 1.0
-    input_scale: float = 1.0
+    in_hw: tuple[int, int] = declared((32, 32), "[1, inf)")
+    n_steps: int = declared(30, "[1, inf)")
+    max_iters: int = declared(400, "[0, inf)")
+    streak: int = declared(10, "[1, inf)")
+    lr: float = declared(1e-4, "(0, inf)")
+    lr_schedule: str = declared("cosine", choices=LR_SCHEDULES)
+    alpha0: float = declared(0.5, "[0, 1]")
+    eta: float = declared(0.05, "[0, inf)")
+    noise_prob: float = declared(0.15, "[0, 1]")
+    cell_rate: float = declared(0.5, "[0, inf)")       # Poisson intensity per pixel
+    target: int | None = declared(None, "[0, inf)")    # desired step; None -> drawn from seed
+    seed: int = declared(0, "[0, inf)")
+    hidden_units: int = declared(512, "[1, inf)")
+    init_gain: float = declared(1.0, "[0, inf)")
+    input_scale: float = declared(1.0, "(0, inf)")
 
     def __post_init__(self):
-        if self.task not in ("arena-i", "arena-ii"):
-            raise ValueError(f"unknown arena task {self.task!r}")
-        if self.streak < 1:
-            raise ValueError("streak must be at least 1")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be non-negative")
-        if not 0.0 <= self.noise_prob <= 1.0:
-            raise ValueError("noise_prob must lie in [0, 1]")
-        _check_shared_fields(self)
+        check_fields(self)
+        if self.target is not None and self.target >= self.n_steps:
+            raise ValueError(f"target step {self.target} outside 0..{self.n_steps - 1}")
 
 
 @dataclass
@@ -327,8 +302,6 @@ def train_arena(net, cfg):
     base_cell = rng.poisson(cfg.cell_rate, (c, h, w)).astype(np.float64)
     fixed_cells = np.repeat(base_cell[None], cfg.n_steps, axis=0)
     n_star = int(rng.integers(0, cfg.n_steps)) if cfg.target is None else int(cfg.target)
-    if not 0 <= n_star < cfg.n_steps:
-        raise ValueError(f"target step {n_star} outside 0..{cfg.n_steps - 1}")
     alpha = cfg.alpha0
     opt = SGD(net.parameters(), cfg.lr)
     history = []
@@ -345,7 +318,7 @@ def train_arena(net, cfg):
         else:
             cells_seq = fixed_cells
             supervised = n_star
-        record = _forward(net, cells_seq)
+        record = net.forward(cells_seq)
         parts, loss_val, lr_t = _supervised_step(net, opt, cfg, record, supervised, alpha,
                                                  i, cfg.max_iters, "iteration")
         n_c_eff = parts.n_c if parts.n_c is not None else len(record)
@@ -385,28 +358,24 @@ class FeedbackConfig:
     epoch with the epoch's pairs; the oracle finetune stage (if the oracle
     supports it) starts after epoch finetune_start."""
 
-    dt_us: int = 10000
-    epochs: int = 6
-    samples_per_epoch: int = 40
-    window: int = 12
-    d: int = 2
-    lr: float = 1e-3      # the presets' rate for the LN-IF head; 0.05 diverged it
-    lr_schedule: str = "cosine"
-    alpha0: float = 0.5
-    eta: float = 0.05
-    repr_kind: str = "frame"
-    n_bins: int = 5
-    finetune_start: int | None = None    # epoch count after which finetune runs
-    seed: int = 0
+    dt_us: int = declared(10000, "[1, inf)")
+    epochs: int = declared(6, "[1, inf)")
+    samples_per_epoch: int = declared(40, "[1, inf)")
+    window: int = declared(12, "[2, inf)")
+    d: int = declared(2, "[1, inf)", about="neighborhood radius")
+    lr: float = declared(1e-3, "(0, inf)")    # the presets' LN-IF rate; 0.05 diverged it
+    lr_schedule: str = declared("cosine", choices=LR_SCHEDULES)
+    alpha0: float = declared(0.5, "[0, 1]")
+    eta: float = declared(0.05, "[0, inf)")
+    repr_kind: str = declared("frame", choices=("frame", "voxel", "time_surface"))
+    n_bins: int = declared(5, "[1, inf)")
+    finetune_start: int | None = declared(None, "[0, inf)")
+    seed: int = declared(0, "[0, inf)")
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("neighborhood radius d must be >= 1")
-        if self.window < 2:
-            raise ValueError("window must cover at least 2 cells")
+        check_fields(self)
         if self.finetune_start is not None and self.finetune_start > self.epochs:
-            raise ValueError("finetune_start beyond total epochs")
-        _check_shared_fields(self)
+            raise ValueError(f"finetune_start {self.finetune_start} beyond the {self.epochs} epochs")
 
 
 @dataclass
@@ -455,7 +424,7 @@ def train_feedback(net, oracle, data, cfg):
                 cur = 0
             seg = cells.grids[cur:cur + cfg.window]
             w_len = seg.shape[0]
-            record = _forward(net, seg)
+            record = net.forward(seg)
             n_c_rel = first_spike_index(record)
             no_spike = n_c_rel is None
             cut_rel = w_len - 1 if no_spike else n_c_rel

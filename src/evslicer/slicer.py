@@ -140,9 +140,8 @@ def slice_report(decisions, stream, n_cells, dt_us):
     durations = [d.duration_us for d in decisions]
     cell_counts = [d.n_cells for d in decisions]
     event_counts = [d.n_events for d in decisions]
-    cut_density = [
-        event_density(stream, d.t_end_us - dt_us, dt_us) * 1000.0 for d in decisions
-    ]
+    starts = [d.t_end_us - dt_us for d in decisions]
+    cut_density = (event_density(stream, starts, dt_us) * 1000.0).tolist()
     mean_cells = float(np.mean(cell_counts)) if cell_counts else 0.0
     return {
         "n_slices": len(decisions),

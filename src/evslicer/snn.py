@@ -31,8 +31,8 @@ code at full width, which the finite-difference gradient checks need.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
-import math
 import re
 from dataclasses import dataclass
 
@@ -40,6 +40,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import CheckpointError, ShapeError, Tensor
+from .schema import check_fields, declared, from_json
 
 DEFAULT_ARCH = "16C3-GN-IF-AvgP2-32C3-GN-IF-AvgP2-64C3-GN-IF-AdaP2-LN-IF-LN-IF"
 
@@ -50,32 +51,28 @@ DEFAULT_ARCH = "16C3-GN-IF-AvgP2-32C3-GN-IF-AvgP2-64C3-GN-IF-AdaP2-LN-IF-LN-IF"
 # 6 MB lower.
 CHUNK = 8
 
+# A net whose numbers outgrow its dtype carries inf or NaN on, unwarned: the
+# trainers report it as a divergence, and slicing cuts where the potential fires.
+OVERFLOW_SILENT = dict(over="ignore", invalid="ignore")
+
 
 @dataclass(frozen=True)
 class NeuronConfig:
     """Membrane dynamics; defaults are integrate-and-fire."""
 
-    beta: float = 1.0
-    gamma: float = 1.0
-    v_th: float = 1.0
+    beta: float = declared(1.0, "(0, 1]")
+    gamma: float = declared(1.0, "(0, inf)")
+    v_th: float = declared(1.0, "(0, inf)")
     v_reset: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.beta <= 1.0):
-            raise ValueError(f"beta must be in (0, 1], got {self.beta}")
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.v_th <= 0.0:
-            raise ValueError(f"v_th must be positive, got {self.v_th}")
+        check_fields(self)
         if self.v_reset >= self.v_th:
             raise ValueError(f"v_reset {self.v_reset} must lie below v_th {self.v_th}")
 
     @property
     def surrogate_window(self):
         return 0.5 * self.v_th
-
-    def to_dict(self):
-        return {"beta": self.beta, "gamma": self.gamma, "v_th": self.v_th, "v_reset": self.v_reset}
 
 
 class Neuron:
@@ -233,13 +230,14 @@ class LinearLayer:
 # architecture grammar
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"^(?:(?P<out>\d+)C(?P<k>\d+)|GN|IF|LIF|AvgP(?P<avg>\d+)|AdaP(?P<ada>\d+)|LN)$")
+_TOKEN_RE = re.compile(r"^(?:(?P<out>[1-9]\d*)C(?P<k>[1-9]\d*)|GN|IF|LIF|AvgP(?P<avg>[1-9]\d*)"
+                       r"|AdaP(?P<ada>[1-9]\d*)|LN)$")
 
 
 def parse_architecture(arch):
     """Split an architecture string into validated token dicts.
 
-    Grammar tokens: {i}C{j} (conv, i filters of size j), GN (group norm),
+    Grammar tokens (sizes from 1): {i}C{j} (conv, i filters of size j), GN (group norm),
     IF / LIF (spiking activation; dynamics come from the neuron config),
     AvgP{k} / AdaP{k} (mean pooling, fixed or adaptive), LN (linear).
     The string must end with a spiking token — the output neuron.
@@ -266,38 +264,25 @@ def parse_architecture(arch):
     return tokens
 
 
-def _count(v):
-    return type(v) is int and v > 0
+@dataclass(frozen=True)
+class NetSpec:
+    """A SlicerNet's constructor arguments, which are also the fields of its
+    checkpoint sidecar. dtype defaults to float64 because a sidecar without
+    it was written before nets had a dtype, by a float64 net."""
 
+    arch: str
+    in_hw: tuple[int, int] = declared(within="[1, inf)")
+    in_channels: int = declared(within="[1, inf)")
+    neuron: NeuronConfig
+    gn_groups: int = declared(within="[1, inf)")
+    hidden_units: int = declared(within="[1, inf)")
+    seed: int = declared(within="[0, inf)")
+    init_gain: float = declared(within="[0, inf)")
+    input_scale: float = declared(within="(0, inf)")
+    dtype: str = declared("float64", choices=("float32", "float64"))
 
-def _number(v):
-    return type(v) in (int, float) and math.isfinite(v)
-
-
-# Float widths a net's body may compute in.
-DTYPES = ("float32", "float64")
-
-# A validity test for each field of the JSON sidecar that meta() writes; a
-# sidecar without "dtype" predates it and describes a float64 net.
-_META_FIELDS = {
-    "dtype": lambda v: v in DTYPES,
-    "arch": lambda v: type(v) is str, "neuron": lambda v: type(v) is dict,
-    "in_hw": lambda v: type(v) is list and len(v) == 2 and all(map(_count, v)),
-    "in_channels": _count, "gn_groups": _count, "hidden_units": _count,
-    "seed": lambda v: type(v) is int and v >= 0, "init_gain": _number, "input_scale": _number,
-}
-_NEURON_FIELDS = dict.fromkeys(("beta", "gamma", "v_th", "v_reset"), _number)
-
-
-def _check_fields(obj, fields, where):
-    """Raise CheckpointError unless obj has exactly `fields`, each valid."""
-    keys = set(obj) if type(obj) is dict else set()
-    if keys != set(fields):
-        raise CheckpointError(f"{where}: missing keys {sorted(set(fields) - keys)}, "
-                              f"unknown keys {sorted(keys - set(fields))}")
-    for key, valid in fields.items():
-        if not valid(obj[key]):
-            raise CheckpointError(f"{where}: invalid {key!r}: {obj[key]!r}")
+    def __post_init__(self):
+        check_fields(self)
 
 
 class SlicerNet:
@@ -312,18 +297,9 @@ class SlicerNet:
     def __init__(self, arch=DEFAULT_ARCH, in_hw=(32, 32), in_channels=2,
                  neuron=None, gn_groups=4, hidden_units=512, seed=0,
                  init_gain=1.0, input_scale=1.0, dtype="float32"):
-        if dtype not in DTYPES:
-            raise ValueError(f"dtype must be one of {DTYPES}, got {dtype!r}")
-        self.dtype = dtype
-        self.arch = arch
-        self.in_hw = tuple(in_hw)
-        self.in_channels = in_channels
-        self.neuron = neuron or NeuronConfig()
-        self.gn_groups = gn_groups
-        self.hidden_units = hidden_units
-        self.seed = seed
-        self.init_gain = init_gain
-        self.input_scale = input_scale
+        self.spec = NetSpec(arch, tuple(in_hw), in_channels, neuron or NeuronConfig(), gn_groups,
+                            hidden_units, seed, init_gain, input_scale, dtype)
+        vars(self).update(vars(self.spec))     # its fields are the net's attributes
         self._build()
         self.reset_state()
 
@@ -383,8 +359,9 @@ class SlicerNet:
             )
         # drawn in float64 whatever the dtype, so both widths start from the
         # same values
-        for p in self.parameters():
-            p.data = p.data.astype(self.dtype, copy=False)
+        with np.errstate(**OVERFLOW_SILENT):
+            for p in self.parameters():
+                p.data = p.data.astype(self.dtype, copy=False)
 
     # -- parameters ----------------------------------------------------------
 
@@ -445,22 +422,18 @@ class SlicerNet:
         if not keep_state:
             self.reset_state()
         self._set_relaxed(relaxed)
-        currents = self.body(grids)
+        with np.errstate(**OVERFLOW_SILENT):
+            currents = self.body(grids)
+            spikes, potentials = self.head.run(currents.data)
+            noreset = self.head.trace(currents)
         self._set_relaxed(False)
-        spikes, potentials = self.head.run(currents.data)
         return SpikeRecord(spikes=spikes, potentials=potentials,
-                           noreset=self.head.trace(currents), currents=currents.data)
+                           noreset=noreset, currents=currents.data)
 
     # -- persistence ---------------------------------------------------------
 
     def meta(self):
-        return {
-            "arch": self.arch, "in_hw": list(self.in_hw), "in_channels": self.in_channels,
-            "neuron": self.neuron.to_dict(), "gn_groups": self.gn_groups,
-            "hidden_units": self.hidden_units, "seed": self.seed,
-            "init_gain": self.init_gain, "input_scale": self.input_scale,
-            "dtype": self.dtype,
-        }
+        return dataclasses.asdict(self.spec)
 
     def save(self, path):
         ad.save_named_tensors(path, self.named_parameters())
@@ -475,12 +448,9 @@ class SlicerNet:
                 meta = json.load(fh)
             except ValueError as exc:
                 raise CheckpointError(f"{sidecar}: not a JSON sidecar: {exc}") from None
-        if type(meta) is dict:
-            meta.setdefault("dtype", "float64")
-        _check_fields(meta, _META_FIELDS, sidecar)
-        _check_fields(meta["neuron"], _NEURON_FIELDS, f"{sidecar} neuron")
-        try:   # the sidecar fields are exactly the constructor's arguments
-            net = cls(**{**meta, "neuron": NeuronConfig(**meta["neuron"])})
+        spec = from_json(NetSpec, meta, CheckpointError, sidecar)
+        try:   # an architecture that does not parse, or does not funnel to one output
+            net = cls(**vars(spec))
         except ValueError as exc:
             raise CheckpointError(f"{sidecar}: {exc}") from None
         net.load_parameters(path)
@@ -499,4 +469,5 @@ class SlicerNet:
                     f"checkpoint tensor {name} has shape {stored[name].shape}, "
                     f"expected {tensor.data.shape}"
                 )
-            tensor.data = stored[name].astype(self.dtype, copy=False)
+            with np.errstate(**OVERFLOW_SILENT):
+                tensor.data = stored[name].astype(self.dtype, copy=False)

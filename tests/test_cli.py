@@ -243,6 +243,74 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out" / "history.jsonl").exists()
 
+    @pytest.mark.parametrize("task, bad, field", [
+        ("feedback", {"epochs": 1.5}, "epochs"),
+        ("feedback", {"window": 2.5}, "window"),
+        ("feedback", {"epochs": "2"}, "epochs"),
+        ("feedback", {"epochs": -1}, "epochs"),
+        ("feedback", {"samples_per_epoch": 0}, "samples_per_epoch"),
+        ("feedback", {"d": "x"}, "'d'"),
+        ("arena-i", {"max_iters": 1.5}, "max_iters"),
+        ("arena-i", {"n_steps": "3"}, "n_steps"),
+        ("arena-i", {"in_hw": "ab"}, "in_hw"),
+        ("arena-i", {"in_hw": [8]}, "in_hw"),
+        ("arena-i", {"arch": 5}, "arch"),
+        ("arena-i", {"hidden_units": 0}, "hidden_units"),
+        ("arena-i", {"lr": True}, "lr"),
+        ("arena-i", {"input_scale": -1}, "input_scale"),
+        ("arena-i", {"eta": -1}, "eta"),
+    ])
+    def test_bad_config_field_exits_2_naming_it(self, tmp_path, capsys, task, bad, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        events, _ = synth_csv(tmp_path)
+        extra = ([] if task == "arena-i"
+                 else ["--events", str(events), "--geometry", "8x8", "--target-events", "30"])
+        capsys.readouterr()
+        rc = main(["train", task, "--config", str(cfg), *extra, "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+        assert not (tmp_path / "out" / "history.jsonl").exists()
+
+    @pytest.mark.parametrize("task, flags, field", [
+        ("arena-i", ["--input-scale", "0"], "input_scale"),
+        ("arena-i", ["--hidden-units", "0"], "hidden_units"),
+        ("feedback", ["--input-scale", "0"], "input_scale"),
+        ("feedback", ["--hidden-units", "0"], "hidden_units"),
+        ("feedback", ["--target-events", "0"], "target_events"),
+    ])
+    def test_zero_flag_exits_2_naming_it(self, tmp_path, capsys, task, flags, field):
+        """A flag given as 0 reaches the declared check instead of falling
+        back to its default."""
+        events, _ = synth_csv(tmp_path)
+        extra = (MICRO_TRAIN if task == "arena-i"
+                 else ["--events", str(events), "--geometry", "8x8", "--target-events", "30"])
+        capsys.readouterr()
+        rc = main(["train", task, *extra, *flags, "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+
+    @pytest.mark.parametrize("task", ["arena-i", "feedback"])
+    @pytest.mark.parametrize("flag, want", [([], 5), (["--seed", "7"], 7), (["--seed", "0"], 0)])
+    def test_seed_resolves_flag_then_file_then_default(self, tmp_path, task, flag, want):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        events, _ = synth_csv(tmp_path)
+        extra = ([*MICRO_TRAIN[:-2], "--max-iters", "3"] if task == "arena-i"
+                 else ["--events", str(events), "--geometry", "8x8", "--target-events", "30",
+                       "--epochs", "1", "--samples-per-epoch", "2"])
+        out = tmp_path / "out"
+        assert main(["train", task, "--config", str(cfg), *extra, *flag, "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        sidecar = json.loads((out / "checkpoint.sslc.meta.json").read_text())
+        assert manifest["seed"] == manifest["config"]["seed"] == sidecar["seed"] == want
+        if task == "arena-i":
+            assert main(["train", task, *extra, "--out-dir", str(tmp_path / "default")]) == 0
+            manifest = json.loads((tmp_path / "default" / "manifest.json").read_text())
+            assert manifest["seed"] == 0
+
     def test_feedback_density_micro(self, tmp_path):
         events, _ = synth_csv(tmp_path, duration_ms=120, rate_per_ms=[[0, 120, 2.0]])
         rc = main(["train", "feedback", "--events", str(events), "--geometry", "8x8",

@@ -218,6 +218,26 @@ def test_density_hand_value():
     assert event_density(s, 0, 5000) == pytest.approx(10 / 5000)
 
 
+@given(stamps=st.lists(st.sampled_from([0, 1, 7, 2 ** 63, 2 ** 64 - 2, 2 ** 64 - 1])
+                       | st.integers(0, 50), max_size=12),
+       starts=st.lists(st.integers(-2 ** 65, 2 ** 65) | st.integers(-5, 60), max_size=6),
+       dt=st.integers(1, 2 ** 64))
+@settings(max_examples=150, deadline=None)
+def test_density_of_many_windows_matches_counting_each(stamps, starts, dt):
+    """One search over all windows gives each window's count, as a loop over
+    the stamps does, for bounds below 0 and beyond the uint64 range too."""
+    t = np.array(sorted(stamps), dtype=np.uint64)
+    zeros = np.zeros(t.size, dtype=np.int64)
+    s = EventStream(width=1, height=1, t=t, x=zeros, y=zeros, p=zeros + 1,
+                    t0=0, span_us=2 ** 64 - 1)
+    want = [sum(a <= x < a + dt for x in t.tolist()) / float(dt) for a in starts]
+    assert event_density(s, starts, dt).tolist() == want
+    for a, w in zip(starts, want):
+        assert event_density(s, a, dt) == w
+        group = event_group(s, a, a + dt)
+        assert len(group) / float(dt) == w
+
+
 def test_density_profile_counts_each_window_half_open():
     r = np.random.Generator(np.random.PCG64(4))
     t = np.sort(r.integers(500, 500 + 1030 + 1, size=200))
