@@ -7,3 +7,9 @@ land where a downstream consumer (density target, classifier, ...) wants them.
 """
 
 __version__ = "0.1.0"
+
+import os as _os
+
+from evslicer import _heap
+
+_heap.set_policy(_heap.glibc(), _os.environ)

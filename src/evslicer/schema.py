@@ -3,6 +3,7 @@
 A dataclass's annotations give each field's JSON type: int (an integer, not
 a bool), float (an integer or a finite float), str, X | None, tuple[X, ...]
 (a list of that many items), list[X], or a nested dataclass (an object).
+An int must also fit in a signed 64-bit integer, as NumPy needs of sizes.
 `declared` adds the interval or the choices a value must lie in. The
 dataclasses call `check_fields` from __post_init__, so values built in
 Python are checked like those read from a file by `from_json`, and only
@@ -19,6 +20,7 @@ import typing
 _NOUNS = {int: "an integer", float: "a number", str: "a string", int | None: "an integer or null",
           tuple[int, int]: "a list of 2 integers",
           list[tuple[float, float, float]]: "a list of 3-number lists"}
+_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 def declared(default=dataclasses.MISSING, within=None, *, choices=None, about=None):
@@ -72,6 +74,9 @@ def check_fields(obj):
         items = value if isinstance(value, (tuple, list)) else (value,)
         if within is not None and value is not None and not all(_inside(v, within) for v in items):
             raise ValueError(f"{name} must lie in {within}, got {value!r}")
+        if int in (kind, *typing.get_args(kind)) and any(v not in _INT64 for v in items
+                                                         if v is not None):
+            raise ValueError(f"{name} must fit in a signed 64-bit integer, got {value!r}")
 
 
 def from_json(cls, raw, error, where, *, partial=True):

@@ -12,6 +12,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import typing
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -85,43 +86,76 @@ FIELD_SETTINGS = settings(max_examples=25, deadline=None,
                           suppress_health_check=[HealthCheck.too_slow])
 
 
-@given(change=one_field(names(ArenaConfig)))
-@FIELD_SETTINGS
-def test_arena_config_field(base, change):
+def run_arena(base, change):
     config = base / "arena.json"
     config.write_text(json.dumps(ARENA | dict([change])))
-    assert_clean_exit(*run(["train", "arena-i", "--config", str(config),
-                            "--out-dir", str(base / "arena")]))
+    return run(["train", "arena-i", "--config", str(config), "--out-dir", str(base / "arena")])
 
 
-@given(change=one_field(names(FeedbackConfig)))
-@FIELD_SETTINGS
-def test_feedback_config_field(base, change):
+def run_feedback(base, change):
     config = base / "feedback.json"
     config.write_text(json.dumps(FEEDBACK | dict([change])))
-    assert_clean_exit(*run(["train", "feedback", "--events", str(base / "events.csv"),
-                            "--geometry", "8x8", "--target-events", "8", "--config", str(config),
-                            "--out-dir", str(base / "feedback")]))
+    return run(["train", "feedback", "--events", str(base / "events.csv"), "--geometry", "8x8",
+                "--target-events", "8", "--config", str(config),
+                "--out-dir", str(base / "feedback")])
 
 
-@given(change=one_field(names(Scenario)))
-@FIELD_SETTINGS
-def test_scenario_field(base, change):
+def run_synth(base, change):
     scenario = base / "drawn.json"
     scenario.write_text(json.dumps(SCENARIO | dict([change])))
-    assert_clean_exit(*run(["synth", "--scenario", str(scenario),
-                            "--out-dir", str(base / "synth")]))
+    return run(["synth", "--scenario", str(scenario), "--out-dir", str(base / "synth")])
 
 
-@given(change=one_field(names(NetSpec) + [f"neuron.{n}" for n in names(NeuronConfig)]))
-@FIELD_SETTINGS
-def test_sidecar_field(base, change):
+def run_slice(base, change):
     meta = SlicerNet(**NET).meta()
     name, value = change
     owner = meta["neuron"] if name.startswith("neuron.") else meta
     owner[name.removeprefix("neuron.")] = value
     (base / "drawn.sslc").write_bytes((base / "net.sslc").read_bytes())
     (base / "drawn.sslc.meta.json").write_text(json.dumps(meta))
-    assert_clean_exit(*run(["slice", "--checkpoint", str(base / "drawn.sslc"),
-                            "--events", str(base / "events.csv"), "--geometry", "8x8",
-                            "--dt-us", "1000", "--out-dir", str(base / "slice")]))
+    return run(["slice", "--checkpoint", str(base / "drawn.sslc"),
+                "--events", str(base / "events.csv"), "--geometry", "8x8",
+                "--dt-us", "1000", "--out-dir", str(base / "slice")])
+
+
+@given(change=one_field(names(ArenaConfig)))
+@FIELD_SETTINGS
+def test_arena_config_field(base, change):
+    assert_clean_exit(*run_arena(base, change))
+
+
+@given(change=one_field(names(FeedbackConfig)))
+@FIELD_SETTINGS
+def test_feedback_config_field(base, change):
+    assert_clean_exit(*run_feedback(base, change))
+
+
+@given(change=one_field(names(Scenario)))
+@FIELD_SETTINGS
+def test_scenario_field(base, change):
+    assert_clean_exit(*run_synth(base, change))
+
+
+@given(change=one_field(names(NetSpec) + [f"neuron.{n}" for n in names(NeuronConfig)]))
+@FIELD_SETTINGS
+def test_sidecar_field(base, change):
+    assert_clean_exit(*run_slice(base, change))
+
+
+def int_fields(cls):
+    hints = typing.get_type_hints(cls)
+    return [name for name, kind in hints.items() if int in (kind, *typing.get_args(kind))]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("command, name", [
+    (command, name) for command, cls in ((run_arena, ArenaConfig), (run_feedback, FeedbackConfig),
+                                         (run_synth, Scenario), (run_slice, NetSpec))
+    for name in int_fields(cls)])
+def test_integer_beyond_64_bits_exits_2(base, command, name, sign):
+    """An integer no int64 holds is refused up front, not left to overflow
+    (or allocate) inside NumPy."""
+    value = sign * 10 ** 23
+    rc, lines = command(base, (name, [value, 8] if name == "in_hw" else value))
+    assert rc == 2 and len(lines) == 1
+    assert lines[0].startswith("error: ") and name in lines[0], lines
