@@ -28,6 +28,7 @@ long as it copies the result back into a C-ordered buffer.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -829,6 +830,7 @@ class SGD:
 
 CHECKPOINT_MAGIC = b"SSLC"
 CHECKPOINT_VERSION = 1
+_IO_BLOCK = 1 << 16        # values widened per write
 
 
 class CheckpointError(ValueError):
@@ -846,50 +848,54 @@ def save_named_tensors(path, named):
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         for name, value in named.items():
-            arr = np.ascontiguousarray(
-                value.data if isinstance(value, Tensor) else value, dtype="<f8"
-            )
+            arr = np.asarray(value.data if isinstance(value, Tensor) else value)
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
             fh.write(struct.pack("<I", arr.ndim))
             if arr.ndim:
                 fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.tobytes())
+            flat = arr.reshape(-1)     # widened a block at a time: no full-size copy
+            for start in range(0, flat.size, _IO_BLOCK):
+                fh.write(flat[start:start + _IO_BLOCK].astype("<f8").data)
 
 
 def load_named_tensors(path):
     """Read the container written by save_named_tensors; returns {name: array}.
     Raises CheckpointError unless it holds whole records with distinct names."""
     with open(path, "rb") as fh:
-        blob = memoryview(fh.read())
-    offset = 0
+        size = os.fstat(fh.fileno()).st_size
 
-    def take(n, what):
-        nonlocal offset
-        if n > len(blob) - offset:
-            raise CheckpointError(f"{path}: truncated {what} at byte {offset}: "
-                                  f"needs {n} bytes, {len(blob) - offset} remain")
-        offset += n
-        return blob[offset - n:offset]
+        def need(n, what):
+            if n > size - fh.tell():
+                raise CheckpointError(f"{path}: truncated {what} at byte {fh.tell()}: "
+                                      f"needs {n} bytes, {size - fh.tell()} remain")
 
-    magic = bytes(take(4, "magic"))
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    (version,) = struct.unpack("<I", take(4, "version"))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported container version {version}")
-    named = {}
-    while offset < len(blob):
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
-        try:
-            name = bytes(take(name_len, "name")).decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: tensor name before byte {offset} is not utf-8") from None
-        if name in named:
-            raise CheckpointError(f"{path}: duplicate tensor {name!r}")
-        (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
-        extents = struct.unpack(f"<{rank}Q", take(8 * rank, f"extents of {name!r}"))
-        data = take(8 * math.prod(extents), f"values of {name!r}")
-        named[name] = np.frombuffer(data, dtype="<f8").reshape(extents).astype(np.float64)
+        def take(n, what):
+            need(n, what)
+            return fh.read(n)
+
+        magic = take(4, "magic")
+        if magic != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+        (version,) = struct.unpack("<I", take(4, "version"))
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported container version {version}")
+        named = {}
+        while fh.tell() < size:
+            (name_len,) = struct.unpack("<I", take(4, "name length"))
+            try:
+                name = take(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(
+                    f"{path}: tensor name before byte {fh.tell()} is not utf-8") from None
+            if name in named:
+                raise CheckpointError(f"{path}: duplicate tensor {name!r}")
+            (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
+            extents = struct.unpack(f"<{rank}Q", take(8 * rank, f"extents of {name!r}"))
+            need(8 * math.prod(extents), f"values of {name!r}")
+            values = np.empty(extents, dtype="<f8")      # read in place: no whole-file buffer
+            if fh.readinto(values) != values.nbytes:
+                raise CheckpointError(f"{path}: values of {name!r} cut short while read")
+            named[name] = values.astype(np.float64, copy=False)
     return named

@@ -538,3 +538,20 @@ def test_container_header_layout(tmp_path):
     assert int.from_bytes(blob[13:17], "little") == 1  # rank
     assert int.from_bytes(blob[17:25], "little") == 2  # extent
     np.testing.assert_array_equal(np.frombuffer(blob[25:], dtype="<f8"), [1.5, -2.0])
+
+
+def test_container_writes_and_reads_tensors_of_several_blocks(tmp_path):
+    """Values are widened and written a block at a time and read straight
+    into their arrays: a float32 tensor spanning blocks (and a 0-d and an
+    empty one) gives the bytes of one whole-array float64 write."""
+    big = rng_for(12).normal(size=(3, ad._IO_BLOCK + 7)).astype(np.float32)
+    named = {"big": Tensor(big), "scalar": np.float64(2.5), "empty": np.zeros((0, 3))}
+    path = tmp_path / "blocks.sslc"
+    save_named_tensors(path, named)
+    values = path.read_bytes()[8 + 4 + 3 + 4 + 16:][:big.size * 8]
+    assert values == big.astype("<f8").tobytes()
+    loaded = load_named_tensors(path)
+    assert loaded["big"].dtype == np.float64 and loaded["big"].flags.writeable
+    np.testing.assert_array_equal(loaded["big"], big)
+    assert loaded["scalar"].shape == () and loaded["scalar"] == 2.5
+    assert loaded["empty"].shape == (0, 3)

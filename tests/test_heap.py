@@ -23,18 +23,25 @@ class FakeLibc:
         return 1
 
 
-def test_clean_env_pins_top_pad_and_mmap_threshold():
+@pytest.mark.parametrize("env", [
+    {"HOME": "/home/user"}, {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2"},
+    {"MALLOC_ARENA_MAX": "2"},
+    {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2:glibc.malloc.arena_max=2"},
+    {"GLIBC_TUNABLES": "glibc.malloc.tcache_count=0:glibc.malloc.hugetlb=1"}])
+def test_env_without_overlapping_controls_pins_top_pad_and_mmap_threshold(env):
     libc = FakeLibc()
-    _heap.set_policy(libc, {"HOME": "/home/user", "GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2"})
+    _heap.set_policy(libc, env)
     assert libc.calls == [(TOP_PAD, 32 << 20), (MMAP_THRESHOLD, 32 << 20)]
 
 
 @pytest.mark.parametrize("env", [
     {"MALLOC_TOP_PAD_": "0"}, {"MALLOC_TRIM_THRESHOLD_": "131072"},
     {"MALLOC_MMAP_THRESHOLD_": "131072"}, {"MALLOC_MMAP_MAX_": "0"},
+    {"GLIBC_TUNABLES": "glibc.malloc.top_pad=0"},
     {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"},
-    {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2:glibc.malloc.arena_max=2"}])
-def test_glibc_malloc_controls_in_env_win(env):
+    {"GLIBC_TUNABLES": "glibc.malloc.arena_max=2:glibc.malloc.mmap_threshold=131072"},
+    {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2:glibc.malloc.mmap_max=0"}])
+def test_glibc_controls_for_the_same_parameters_win(env):
     libc = FakeLibc()
     _heap.set_policy(libc, env)
     assert libc.calls == []
