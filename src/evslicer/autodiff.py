@@ -48,6 +48,12 @@ class ShapeError(ValueError):
 
 _grad_enabled = True
 
+# While Tensor.backward runs: {id(weight): (weight, buffer, [(g, x), ...])},
+# the output gradients and inputs of the linear blocks whose weight gradient
+# it forms at its end, in one product over all of them into the buffer (see
+# `linear`).
+_deferred = None
+
 
 class no_grad:
     """Context manager that disables graph construction (inference mode)."""
@@ -195,14 +201,22 @@ class Tensor:
             for parent in node._prev:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(tape):
-            if node._backward is not None and node.grad is not None:
-                # read-only while its backward runs, so that _accum copies
-                # it if the backward hands it on unchanged
-                node.grad.flags.writeable = False
-                node._backward(node.grad)
-                node.grad.flags.writeable = True
+        global _deferred
+        outer, _deferred = _deferred, {}
+        try:
+            self.grad = np.ones_like(self.data)
+            for node in reversed(tape):
+                if node._backward is not None and node.grad is not None:
+                    # read-only while its backward runs, so that _accum copies
+                    # it if the backward hands it on unchanged
+                    node.grad.flags.writeable = False
+                    node._backward(node.grad)
+                    node.grad.flags.writeable = True
+            for weight, buf, blocks in _deferred.values():
+                gs, xs = zip(*blocks)
+                _accum(weight, np.matmul(np.concatenate(gs).T, np.concatenate(xs), out=buf))
+        finally:
+            _deferred = outer
 
 
 def _as_tensor(value):
@@ -445,6 +459,13 @@ def linear(x, weight, bias=None, rows=None):
     one block shape a row's result does not depend on how many rows share
     the call, and a sequence forwarded in pieces gives the same bits as
     forwarded whole.
+
+    A leaf weight with more output features than a block has rows gets its
+    gradient once per `Tensor.backward`: each block's backward stashes its
+    (output gradient, input) pair, and the backward forms g.T @ x over all
+    blocks in one product when it ends, instead of one weight-sized product
+    and one weight-sized sum per block. Smaller weights, and a backward
+    called outside `Tensor.backward`, take their gradient per block.
     """
     if x.data.ndim != 2 or weight.data.ndim != 2:
         raise ShapeError(f"linear expects 2-d x and weight, got {x.data.shape}, {weight.data.shape}")
@@ -472,11 +493,22 @@ def linear(x, weight, bias=None, rows=None):
         y += bias.data
     out = _node(y, inputs)
     if out.requires_grad:
+        defer = w_data.shape[0] > rows and weight._backward is None
+
         def _bw(g):
             if x.requires_grad:
                 _accum(x, g @ w_data)
             if weight.requires_grad:
-                _accum(weight, g.T @ x_data)
+                if defer and _deferred is not None:
+                    if id(weight) not in _deferred:
+                        # allocated now, while the backward's heap is small,
+                        # as the per-block product was: allocated at the end
+                        # it would sit on top of the backward's peak
+                        buf = np.empty(w_data.shape, dtype=np.result_type(g, x_data))
+                        _deferred[id(weight)] = (weight, buf, [])
+                    _deferred[id(weight)][2].append((g, x_data))
+                else:
+                    _accum(weight, g.T @ x_data)
             if bias is not None and bias.requires_grad:
                 _accum(bias, g.sum(axis=0))
         out._backward = _bw
@@ -487,30 +519,52 @@ def linear(x, weight, bias=None, rows=None):
 # convolution / pooling
 # ---------------------------------------------------------------------------
 
-def _im2col(padded, kh, kw, stride):
+def _im2col(padded, kh, kw):
     """(n, c*kh*kw, oh*ow) columns of padded's kh x kw windows: one strided
     copy per kernel offset, faster than copying a transposed window view."""
     n, c, hp, wp = padded.shape
-    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    oh, ow = hp - kh + 1, wp - kw + 1
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=padded.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = padded[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride]
+            cols[:, :, i, j] = padded[:, :, i:i + oh, j:j + ow]
     return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
 
 
-def _col2im(dcols, padded_shape, kh, kw, stride, oh, ow):
-    n, c, hp, wp = padded_shape
-    dpadded = np.zeros(padded_shape, dtype=dcols.dtype)
-    d6 = dcols.reshape(n, c, kh, kw, oh, ow)
+def _conv_input_grad(wmat, g, padded_shape, kh, kw):
+    """Gradient of the padded input of a stride-1 convolution, on a
+    row-pitched flat buffer.
+
+    The output gradient is zero-padded to the padded input's row width wp,
+    so output position (r, c) sits at flat offset r*wp + c and its input
+    window's offset (i, j) at r*wp + c + i*wp + j: each kernel offset is one
+    contiguous add of length oh*wp into the flat buffer (kw - 1 values
+    longer than the image, for the last row's overhang), where scattering
+    the columns back window by window makes kh*kw strided adds over rows of
+    only ow values. The padding columns carry W.T @ 0 = +0.0 into the next
+    row's first kw - 1 values, which leaves them unchanged: the buffer
+    starts at +0.0 and no sum of floats turns +0.0 into -0.0. So the bytes
+    are those of the window-by-window scatter, unless a weight is NaN or
+    infinite, whose NaN then also reaches those values.
+    """
+    n, cin, hp, wp = padded_shape
+    cout, oh, ow = g.shape[1:]
+    gp = np.zeros((n, cout, oh, wp), dtype=g.dtype)
+    gp[:, :, :, :ow] = g
+    span = oh * wp
+    dcols = np.matmul(wmat.T[None], gp.reshape(n, cout, span)).reshape(n, cin, kh * kw, span)
+    flat = np.zeros((n, cin, hp * wp + kw - 1), dtype=g.dtype)
     for i in range(kh):
         for j in range(kw):
-            dpadded[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += d6[:, :, i, j]
-    return dpadded
+            flat[:, :, i * wp + j:i * wp + j + span] += dcols[:, :, i * kw + j]
+    return flat[:, :, :hp * wp].reshape(padded_shape)
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0):
-    """2-d cross-correlation, NCHW input, OIHW weight."""
+    """2-d cross-correlation with stride 1, NCHW input, OIHW weight. `stride`
+    is accepted only as 1, for callers that spell it out."""
+    if stride != 1:
+        raise ValueError(f"conv2d supports stride 1 only, got {stride}")
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d x and weight, got {x.data.shape}, {weight.data.shape}")
     n, cin, h, w = x.data.shape
@@ -524,7 +578,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
         padded[:, :, padding:-padding, padding:-padding] = x.data
     else:
         padded = x.data
-    cols, oh, ow = _im2col(padded, kh, kw, stride)
+    cols, oh, ow = _im2col(padded, kh, kw)
     wmat = weight.data.reshape(cout, cin * kh * kw)
     y = np.matmul(wmat[None], cols).reshape(n, cout, oh, ow)
     if bias is not None:
@@ -546,8 +600,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
             if bias is not None and bias.requires_grad:
                 _accum(bias, g.sum(axis=(0, 2, 3)).reshape(bias_shape))
             if x.requires_grad:
-                dcols = np.matmul(wmat.T[None], gmat)
-                dpadded = _col2im(dcols, padded_shape, kh, kw, stride, oh, ow)
+                dpadded = _conv_input_grad(wmat, g, padded_shape, kh, kw)
                 if padding:
                     dpadded = dpadded[:, :, padding:-padding, padding:-padding]
                 _accum(x, dpadded)
@@ -648,9 +701,13 @@ def _partition_mean(x, th, tw):
 def group_norm(x, groups, weight, bias, eps=1e-5):
     """Per-sample group normalization with per-channel affine (single node).
 
-    Backward uses the closed form for mean/variance normalization:
-    dL/dx = inv * (gy - mean(gy) - xhat * mean(gy * xhat)) per group,
-    where gy is the gradient through the affine scale.
+    Backward uses the closed form for mean/variance normalization (Wu & He,
+    Group Normalization, 2018): with gy = weight*g and M values per group,
+    dL/dx = inv * (gy - mean(gy) - xhat * mean(gy * xhat)) per group. Both
+    means, dweight and dbias follow from two sums per (sample, channel),
+    S1 = sum(g) and S2 = sum(g * xhat), so dx = B*xhat + C + A*g with
+    B = -inv*mean(gy*xhat), C = -inv*mean(gy) and A = inv*weight per
+    (sample, channel): two reductions and three passes over the block.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"group_norm expects 4-d input, got {x.data.shape}")
@@ -669,20 +726,29 @@ def group_norm(x, groups, weight, bias, eps=1e-5):
     y += bias.data.reshape(1, c, 1, 1)
     out = _node(y, (x, weight, bias))
     if out.requires_grad:
+        per = c // groups
+        xhat_c = centered.reshape(n, c, h * w)
+
         def _bw(g):
+            g_c = g.reshape(n, c, h * w)
+            # the buffer of g*xhat becomes dx: a second kept buffer, placed
+            # above the small gradients stored in between, would leave a
+            # block-sized hole in the heap when this one is freed
+            dx = g_c * xhat_c
+            s1, s2 = g_c.sum(axis=2), dx.sum(axis=2)
             if weight.requires_grad:
-                _accum(weight, (g * xhat).sum(axis=(0, 2, 3)).reshape(weight.data.shape))
+                _accum(weight, s2.sum(axis=0).reshape(weight.data.shape))
             if bias.requires_grad:
-                _accum(bias, g.sum(axis=(0, 2, 3)).reshape(bias.data.shape))
+                _accum(bias, s1.sum(axis=0).reshape(bias.data.shape))
             if x.requires_grad:
-                dx = g * w_col
-                gy = dx.reshape(n, groups, -1)
-                m1 = gy.mean(axis=2, keepdims=True)
-                m2 = (gy * centered).mean(axis=2, keepdims=True)
-                gy -= m1
-                gy -= centered * m2
-                gy *= inv
-                _accum(x, dx)
+                w_g = weight.data.reshape(groups, per)
+                size = per * h * w
+                m1 = (s1.reshape(n, groups, per) * w_g).sum(axis=2, keepdims=True) / size
+                m2 = (s2.reshape(n, groups, per) * w_g).sum(axis=2, keepdims=True) / size
+                np.multiply(xhat_c, np.repeat(-inv * m2, per, axis=1), out=dx)
+                dx += np.repeat(-inv * m1, per, axis=1)
+                dx += g_c * (inv * w_g).reshape(n, c, 1)
+                _accum(x, dx.reshape(n, c, h, w))
         out._backward = _bw
     return out
 

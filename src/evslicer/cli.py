@@ -541,6 +541,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:     # ConfigError and the input errors among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:      # sizes that ask for more than the machine has
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

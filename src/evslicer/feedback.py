@@ -74,10 +74,13 @@ def _supervised_step(net, opt, cfg, record, n_star, alpha, step, total, unit):
     return parts, loss_val, lr_t
 
 
-def _check_finite_parameters(net):
-    """The last update of a run has no next loss to report its overflow."""
-    if not all(np.isfinite(p.data).all() for p in net.parameters()):
-        raise DivergenceError("non-finite parameters after the last update")
+def _check_finite_parameters(net, where):
+    """Raise unless every parameter is finite. A NaN parameter can silence
+    the spikes and so keep the loss finite: the loss check alone would let a
+    run train on NaN until it ends."""
+    bad = [name for name, p in net.named_parameters().items() if not np.isfinite(p.data).all()]
+    if bad:
+        raise DivergenceError(f"non-finite parameters after {where}: {', '.join(bad)}")
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +324,7 @@ def train_arena(net, cfg):
         record = net.forward(cells_seq)
         parts, loss_val, lr_t = _supervised_step(net, opt, cfg, record, supervised, alpha,
                                                  i, cfg.max_iters, "iteration")
+        _check_finite_parameters(net, f"the update at iteration {i}")
         n_c_eff = parts.n_c if parts.n_c is not None else len(record)
         alpha = update_alpha(alpha, [(supervised, n_c_eff)], cfg.eta)
         hit = parts.n_c == n_star
@@ -339,7 +343,6 @@ def train_arena(net, cfg):
         history.append(entry)
         if converged_at is not None:
             break
-    _check_finite_parameters(net)
     return ArenaResult(converged_at=converged_at, iterations=len(history),
                        n_star=n_star, alpha_final=alpha,
                        elapsed_s=time.perf_counter() - t_begin, history=history)
@@ -451,6 +454,7 @@ def train_feedback(net, oracle, data, cfg):
                             "n_star": n_star_rel, "no_spike": no_spike,
                             "degenerate": fb.degenerate, "lr": lr_t})
             step_i += 1
+        _check_finite_parameters(net, f"epoch {epoch}")
         alpha = update_alpha(alpha, epoch_pairs, cfg.eta)
         history.append({"epoch": epoch, "alpha": alpha,
                         "pairs": [[int(a), int(b)] for a, b in epoch_pairs]})
@@ -460,7 +464,6 @@ def train_feedback(net, oracle, data, cfg):
             order = rng.permutation(len(batch))
             oracle.finetune([batch[i] for i in order])
             history.append({"epoch": epoch, "finetune_samples": len(batch)})
-    _check_finite_parameters(net)
     return FeedbackResult(epochs=cfg.epochs, samples=step_i, skipped=skipped,
                           alpha_final=alpha,
                           elapsed_s=time.perf_counter() - t_begin,

@@ -146,7 +146,7 @@ class ConvLayer:
         return {f"{self.name}.weight": self.weight, f"{self.name}.bias": self.bias}
 
     def __call__(self, x):
-        return ad.conv2d(x, self.weight, self.bias, stride=1, padding=self.k // 2)
+        return ad.conv2d(x, self.weight, self.bias, padding=self.k // 2)
 
 
 class GroupNormLayer:

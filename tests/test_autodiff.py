@@ -193,18 +193,18 @@ def test_concat_grads_and_untouched_parts():
 # brute-force and finite-difference oracles
 # ---------------------------------------------------------------------------
 
-def brute_force_conv(x, w, stride, padding):
+def brute_force_conv(x, w, padding):
     n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (xp.shape[2] - kh) // stride + 1
-    ow = (xp.shape[3] - kw) // stride + 1
+    oh = xp.shape[2] - kh + 1
+    ow = xp.shape[3] - kw + 1
     out = np.zeros((n, cout, oh, ow))
     for b in range(n):
         for o in range(cout):
             for i in range(oh):
                 for j in range(ow):
-                    patch = xp[b, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
+                    patch = xp[b, :, i:i + kh, j:j + kw]
                     out[b, o, i, j] = (patch * w[o]).sum()
     return out
 
@@ -217,14 +217,20 @@ def test_conv_forward_matches_brute_force(seed):
     h = int(r.integers(3, 6))
     w = int(r.integers(3, 6))
     k = int(r.integers(1, 4))
-    stride = int(r.integers(1, 3))
     padding = int(r.integers(0, 2))
     if h + 2 * padding < k or w + 2 * padding < k:
         return
     x = r.normal(size=(n, cin, h, w))
     wt = r.normal(size=(cout, cin, k, k))
-    got = conv2d(Tensor(x), Tensor(wt), stride=stride, padding=padding)
-    np.testing.assert_allclose(got.data, brute_force_conv(x, wt, stride, padding), atol=1e-10)
+    got = conv2d(Tensor(x), Tensor(wt), padding=padding)
+    np.testing.assert_allclose(got.data, brute_force_conv(x, wt, padding), atol=1e-10)
+
+
+def test_conv_rejects_strides_other_than_one():
+    x, w = Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3)))
+    assert conv2d(x, w, stride=1).shape == (1, 1, 2, 2)
+    with pytest.raises(ValueError, match="stride 1 only"):
+        conv2d(x, w, stride=2)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -237,7 +243,7 @@ def test_conv_grads_match_finite_differences(seed):
     coef = r.normal(size=(1, 2, 4, 4))
 
     def loss():
-        return (conv2d(x, w, b, stride=1, padding=1) * Tensor(coef)).sum()
+        return (conv2d(x, w, b, padding=1) * Tensor(coef)).sum()
 
     assert check_grads(loss, [x, w, b]) <= 1e-4
 
@@ -356,7 +362,7 @@ def test_composite_conv_pool_linear_chain_grads():
     b2 = Tensor(np.zeros(1), requires_grad=True)
 
     def loss():
-        h = conv2d(x, w1, stride=1, padding=1)
+        h = conv2d(x, w1, padding=1)
         h = group_norm(h, 1, gw, gb)
         h = avg_pool(h, 2)
         h = h.reshape(1, 27)
@@ -380,6 +386,21 @@ def test_default_net_grads_match_finite_differences():
         return (net.forward(cells, relaxed=True).noreset * coef).sum()
 
     assert check_grads(loss, params) <= 1e-4
+
+
+def test_multi_block_linear_net_grads_match_finite_differences():
+    """Three blocks through a hidden linear layer wider than a block, whose
+    weight gradient is formed once over all blocks at the end of backward."""
+    from evslicer.snn import SlicerNet
+    net = SlicerNet("LN-IF-LN-IF", in_hw=(3, 3), hidden_units=CHUNK + 4, seed=2,
+                    init_gain=2.0, dtype="float64")
+    cells = rng_for(10).poisson(1.0, (2 * CHUNK + 3, 2, 3, 3)).astype(np.float64)
+    coef = Tensor(rng_for(11).normal(size=2 * CHUNK + 3))
+
+    def loss():
+        return (net.forward(cells, relaxed=True).noreset * coef).sum()
+
+    assert check_grads(loss, net.parameters()) <= 1e-4
 
 
 def test_tensor_added_to_itself_gets_twice_the_gradient():

@@ -204,6 +204,15 @@ class TestTrain:
                    "--max-iters", "50", "--out-dir", str(tmp_path)])
         assert rc == 3
 
+    def test_an_allocation_beyond_memory_exits_2(self, tmp_path, capsys):
+        """1e12 cells of 2x32x32 float64 ask for 14.6 PiB, more than a 64-bit
+        address space holds, so numpy refuses at once and nothing is allocated."""
+        rc = main(["train", "arena-i", "--n-steps", "1000000000000", "--max-iters", "1",
+                   "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
     def test_config_file_and_cli_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"arch": "LN-IF", "in_hw": [8, 8], "n_steps": 6,

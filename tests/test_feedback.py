@@ -4,6 +4,7 @@ oracle-feedback loop mechanics, and the policy comparison scaffold."""
 import numpy as np
 import pytest
 
+from evslicer.autodiff import SGD
 from evslicer.events import EventStream, Scenario, build_cells, synth_stream
 from evslicer.feedback import (
     ArenaConfig,
@@ -214,6 +215,25 @@ class TestArena:
         with pytest.raises(DivergenceError, match="non-finite parameters"):
             train_arena(build_arena_net(cfg), cfg)
 
+    def test_nan_parameters_stop_the_run_within_one_iteration(self, monkeypatch):
+        """The default net on a late target: the loss grows ~100x an
+        iteration, and once conv0 turns NaN its spikes fall silent, so the
+        loss stays finite while the run would train on NaN parameters."""
+        cfg = ArenaConfig(seed=0, target=29, max_iters=40, streak=41)
+        finite_after = []
+        step = SGD.step
+
+        def recording_step(opt, lr=None):
+            step(opt, lr)
+            finite_after.append(all(np.isfinite(p.data).all() for p in opt.params))
+        monkeypatch.setattr(SGD, "step", recording_step)
+        with pytest.raises(DivergenceError, match="non-finite parameters after the update "
+                                                  "at iteration .*: conv0.weight"):
+            train_arena(build_arena_net(cfg), cfg)
+        first_bad = finite_after.index(False)
+        assert first_bad < cfg.max_iters - 2          # it stopped well before the end
+        assert len(finite_after) <= first_bad + 2     # within one iteration of it
+
     def test_max_iters_zero(self):
         cfg = ArenaConfig(seed=0, **{**MICRO, "max_iters": 0})
         res = train_arena(build_arena_net(cfg), cfg)
@@ -258,6 +278,17 @@ class TestFeedbackLoop:
         assert len(epoch_entries) == cfg.epochs
         for h in sample_entries:
             assert 0 <= h["n_star"] < cfg.window
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_parameters_stop_the_run_after_the_epoch(self):
+        """The one update of epoch 0 overflows the float32 head; the run
+        stops there instead of forwarding epoch 1 on infinite weights."""
+        cfg = FeedbackConfig(dt_us=100, epochs=2, samples_per_epoch=1, window=8,
+                             lr=1e300, lr_schedule="constant", seed=0)
+        net = build_arena_net(ArenaConfig(arch="LN-IF", in_hw=(8, 8), seed=0))
+        stream = uniform_stream(24, events_per_cell=6, seed=3)
+        with pytest.raises(DivergenceError, match="non-finite parameters after epoch 0"):
+            train_feedback(net, DensityTargetOracle(12), [stream], cfg)
 
     def test_alpha_replay_exact(self):
         result, cfg = self.run_micro()

@@ -145,23 +145,33 @@ def test_linear_matches_padded_product(dtype, data):
 # convolution and group norm
 # ---------------------------------------------------------------------------
 
-def window_im2col(padded, kh, kw, stride):
+def window_im2col(padded, kh, kw):
     """_im2col as a copy of the transposed sliding-window view."""
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
     n, c, oh, ow = windows.shape[:4]
     cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
     return np.ascontiguousarray(cols), oh, ow
 
 
+def window_col2im(dcols, padded_shape, kh, kw, oh, ow):
+    """The conv input gradient as kh*kw strided adds of the columns' gradient
+    into a zeroed padded buffer, one window offset at a time."""
+    n, c = padded_shape[:2]
+    dpadded = np.zeros(padded_shape, dtype=dcols.dtype)
+    d6 = dcols.reshape(n, c, kh, kw, oh, ow)
+    for i in range(kh):
+        for j in range(kw):
+            dpadded[:, :, i:i + oh, j:j + ow] += d6[:, :, i, j]
+    return dpadded
+
+
 @given(st.sampled_from(DTYPES), st.integers(1, 3), st.integers(1, 3), st.integers(1, 9),
-       st.integers(1, 9), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
-       st.integers(0, 2 ** 32 - 1))
+       st.integers(1, 9), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_im2col_matches_window_view(dtype, n, c, h, w, kh, kw, stride, seed):
+def test_im2col_matches_window_view(dtype, n, c, h, w, kh, kw, seed):
     padded = np.random.default_rng(seed).normal(size=(n, c, h + kh - 1, w + kw - 1)).astype(dtype)
-    cols, oh, ow = ad._im2col(padded, kh, kw, stride)
-    want, woh, wow = window_im2col(padded, kh, kw, stride)
+    cols, oh, ow = ad._im2col(padded, kh, kw)
+    want, woh, wow = window_im2col(padded, kh, kw)
     assert (oh, ow) == (woh, wow) and same_bytes(cols, want)
 
 
@@ -171,7 +181,8 @@ def test_im2col_matches_window_view(dtype, n, c, h, w, kh, kw, stride, seed):
 @settings(max_examples=40, deadline=None)
 def test_conv_matches_replaced_forms(dtype, n, cin, cout, hw, seed):
     """conv2d's output, weight gradient and input gradient against the
-    forms it replaced: out-of-place bias, and gmat @ cols.T for dW."""
+    forms it replaced: out-of-place bias, gmat @ cols.T for dW, and the
+    window-by-window scatter of the columns' gradient for dx."""
     r = np.random.default_rng(seed)
     x = Tensor(r.normal(size=(n, cin, *hw)).astype(dtype), requires_grad=True)
     w = Tensor(r.normal(size=(cout, cin, 3, 3)).astype(dtype), requires_grad=True)
@@ -179,7 +190,7 @@ def test_conv_matches_replaced_forms(dtype, n, cin, cout, hw, seed):
     y = ad.conv2d(x, w, b, padding=1)
     padded = np.zeros((n, cin, hw[0] + 2, hw[1] + 2), dtype=dtype)
     padded[:, :, 1:-1, 1:-1] = x.data
-    cols, oh, ow = window_im2col(padded, 3, 3, 1)
+    cols, oh, ow = window_im2col(padded, 3, 3)
     wmat = w.data.reshape(cout, -1)
     want = np.matmul(wmat[None], cols).reshape(n, cout, oh, ow) + b.data.reshape(1, cout, 1, 1)
     assert same_bytes(y.data, want)
@@ -188,7 +199,7 @@ def test_conv_matches_replaced_forms(dtype, n, cin, cout, hw, seed):
     gmat = g.reshape(n, cout, oh * ow)
     dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     assert same_bytes(w.grad, dw)
-    dpadded = ad._col2im(np.matmul(wmat.T[None], gmat), padded.shape, 3, 3, 1, oh, ow)
+    dpadded = window_col2im(np.matmul(wmat.T[None], gmat), padded.shape, 3, 3, oh, ow)
     assert same_bytes(x.grad, np.ascontiguousarray(dpadded[:, :, 1:-1, 1:-1]))
 
 
@@ -196,6 +207,10 @@ def test_conv_matches_replaced_forms(dtype, n, cin, cout, hw, seed):
        st.sampled_from([(1, 1), (4, 4), (5, 3)]), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_group_norm_matches_out_of_place_form(dtype, n, channels, hw, seed):
+    """The forward keeps the out-of-place form's bytes. The backward's
+    closed form (two sums per channel, then B*xhat + C + A*g) rounds in
+    other places than inv * (gy - mean(gy) - xhat * mean(gy * xhat)), so dx
+    is compared within 8 ulp of the group's scale inv * max|weight * g|."""
     c, groups = channels
     r = np.random.default_rng(seed)
     x = Tensor(r.normal(size=(n, c, *hw)).astype(dtype), requires_grad=True)
@@ -212,7 +227,76 @@ def test_group_norm_matches_out_of_place_form(dtype, n, channels, hw, seed):
     y._backward(g)
     gy, xh = (g * w_col).reshape(n, groups, -1), xhat.reshape(n, groups, -1)
     m1, m2 = gy.mean(axis=2, keepdims=True), (gy * xh).mean(axis=2, keepdims=True)
-    assert same_bytes(x.grad, np.multiply(inv, gy - m1 - xh * m2).reshape(x.shape))
+    want = np.multiply(inv, gy - m1 - xh * m2)
+    tol = 8 * np.spacing(inv * np.abs(gy).max(axis=2, keepdims=True))
+    got = x.grad.reshape(n, groups, -1)
+    assert got.dtype == dtype and np.all(np.abs(got - want) <= tol)
+
+
+# ---------------------------------------------------------------------------
+# linear weight gradient, formed once per backward
+# ---------------------------------------------------------------------------
+
+def blocked_linear_loss(x, w, b, coef):
+    """A loss over a CHUNK-row linear applied block by block, as the
+    slicing net applies its linear layers."""
+    blocks = [ad.linear(x[i:i + CHUNK], w, b, rows=CHUNK) for i in range(0, x.shape[0], CHUNK)]
+    return (ad.concat(blocks) * Tensor(coef)).sum()
+
+
+def test_deferred_weight_gradient_equals_the_per_block_sum():
+    r = np.random.default_rng(3)
+    x = Tensor(r.normal(size=(3 * CHUNK, 40)), requires_grad=True)
+    w = Tensor(r.normal(size=(24, 40)), requires_grad=True)
+    b = Tensor(r.normal(size=24), requires_grad=True)
+    coef = r.normal(size=(3 * CHUNK, 24))
+    blocked_linear_loss(x, w, b, coef).backward()
+    want = sum(coef[i:i + CHUNK].T @ x.data[i:i + CHUNK] for i in range(0, 3 * CHUNK, CHUNK))
+    assert w.grad.shape == w.shape and w.grad.flags.c_contiguous
+    np.testing.assert_allclose(w.grad, want, rtol=0, atol=1e-12)
+    assert ad._deferred is None
+
+
+def test_backward_that_raises_leaves_no_stash():
+    """A backward that fails after a linear block stashed its pair leaves
+    neither the stash nor a weight gradient behind, and the next backward
+    forms its gradient from its own blocks only."""
+    r = np.random.default_rng(4)
+    x0 = Tensor(r.normal(size=(CHUNK, 40)), requires_grad=True)
+    w = Tensor(r.normal(size=(24, 40)), requires_grad=True)
+    coef = r.normal(size=(CHUNK, 24))
+
+    def loss():
+        return (ad.linear(x0 * 1.5, w, rows=CHUNK) * Tensor(coef)).sum()
+
+    def fail(g):
+        raise RuntimeError("backward failed")
+
+    failing = loss()
+    failing._prev[0]._prev[0]._prev[0]._backward = fail     # x0 * 1.5, behind the linear
+    with pytest.raises(RuntimeError, match="backward failed"):
+        failing.backward()
+    assert ad._deferred is None and w.grad is None
+    loss().backward()
+    np.testing.assert_allclose(w.grad, coef.T @ (1.5 * x0.data), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_weight_with_few_outputs_keeps_its_per_block_gradient(dtype):
+    """fc1's and the LN-IF head's weights (out_features <= rows) take g.T @ x
+    block by block, summed in the order the backward reaches the blocks
+    (the first block first in this graph), as before."""
+    r = np.random.default_rng(5)
+    x = Tensor(r.normal(size=(3 * CHUNK, 64)).astype(dtype), requires_grad=True)
+    w = Tensor(r.normal(size=(CHUNK, 64)).astype(dtype), requires_grad=True)
+    b = Tensor(r.normal(size=CHUNK).astype(dtype), requires_grad=True)
+    coef = r.normal(size=(3 * CHUNK, CHUNK)).astype(dtype)
+    blocked_linear_loss(x, w, b, coef).backward()
+    want = None
+    for i in range(0, 3 * CHUNK, CHUNK):
+        part = coef[i:i + CHUNK].T @ x.data[i:i + CHUNK]
+        want = part if want is None else want + part
+    assert same_bytes(w.grad, want)
 
 
 # ---------------------------------------------------------------------------
