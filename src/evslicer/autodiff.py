@@ -15,8 +15,11 @@ around it; `cast` joins the two. Everything is deterministic: a fixed graph
 construction order fixes the gradient accumulation order, so repeated
 backward passes over a fresh graph reproduce identical bytes. Backward
 closures receive the output gradient as an argument and reference only their
-inputs, keeping the graph acyclic for reference counting — unrolled training
-graphs free promptly without garbage-collector sweeps.
+inputs, keeping the graph acyclic for reference counting. The backward frees
+each node's closure and parents as soon as it has run them, so the saved
+forward buffers and the gradients of nodes nobody holds go as the sweep
+passes, without garbage-collector sweeps. A graph can be back-propagated
+once; a second pass through it raises RuntimeError.
 
 Layout: every op hands on C-ordered arrays, as node data and as gradients.
 BLAS picks its kernel, and so the order in which it sums a product, by the
@@ -47,6 +50,13 @@ class ShapeError(ValueError):
 
 
 _grad_enabled = True
+
+
+def _freed(grad):
+    """The backward of a node whose graph an earlier backward has freed."""
+    raise RuntimeError("backward through a graph that an earlier backward has freed; "
+                       "run the forward again to build a new one")
+
 
 # While Tensor.backward runs: {id(weight): (weight, buffer, [(g, x), ...])},
 # the output gradients and inputs of the linear blocks whose weight gradient
@@ -179,8 +189,15 @@ class Tensor:
 
         Builds the topologically ordered tape with an iterative post-order
         walk (training graphs can unroll to thousands of nodes, beyond
-        Python's recursion limit) and replays it in reverse. A node that no
+        Python's recursion limit) and pops it from the end. A node that no
         gradient reached is skipped: its backward could only pass zeros on.
+
+        Each non-leaf node is freed as soon as its turn has passed: it drops
+        its parents and its backward closure, and with them the forward
+        buffers the closure saved. A node still held elsewhere keeps its data
+        and `.grad`. So a graph can be back-propagated once: a second
+        backward that reaches a freed node, from the same loss or from a new
+        one built on it, raises RuntimeError.
         """
         if self.data.size != 1:
             raise ShapeError(
@@ -205,13 +222,19 @@ class Tensor:
         outer, _deferred = _deferred, {}
         try:
             self.grad = np.ones_like(self.data)
-            for node in reversed(tape):
-                if node._backward is not None and node.grad is not None:
+            while tape:
+                # popped, so the tape no longer holds the nodes already done
+                node = tape.pop()
+                if node._backward is None:      # a leaf
+                    continue
+                if node.grad is not None:
                     # read-only while its backward runs, so that _accum copies
                     # it if the backward hands it on unchanged
                     node.grad.flags.writeable = False
                     node._backward(node.grad)
                     node.grad.flags.writeable = True
+                node._prev = ()
+                node._backward = _freed
             for weight, buf, blocks in _deferred.values():
                 gs, xs = zip(*blocks)
                 _accum(weight, np.matmul(np.concatenate(gs).T, np.concatenate(xs), out=buf))

@@ -198,6 +198,15 @@ def _dump_history(path, history):
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
+def _record_divergence(exc, task, history_path, result_path):
+    """A diverged run's record: the history up to the divergence, and a
+    result that names the error."""
+    _dump_history(history_path, exc.history)
+    summary = {"task": task, "error": f"training diverged: {exc}",
+               "history_entries": len(exc.history)}
+    result_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+
+
 def cmd_train(args):
     started = _utc_now()
     out_dir = Path(args.out_dir)
@@ -211,7 +220,11 @@ def cmd_train(args):
         cfg = build_dataclass(ArenaConfig, file_cfg, args,
                               in_hw=_parse_geometry(args.hw) if args.hw else None)
         net = build_arena_net(cfg)
-        res = train_arena(net, cfg)
+        try:
+            res = train_arena(net, cfg)
+        except DivergenceError as exc:
+            _record_divergence(exc, cfg.task, history_path, result_path)
+            raise
         _dump_history(history_path, res.history)
         summary = {"task": cfg.task, "converged_at": res.converged_at,
                    "iterations": res.iterations, "n_star": res.n_star,
@@ -251,7 +264,11 @@ def cmd_train(args):
                         in_hw=(first.height, first.width), seed=cfg.seed,
                         hidden_units=512 if args.hidden_units is None else args.hidden_units,
                         input_scale=1.0 if args.input_scale is None else args.input_scale)
-    res = train_feedback(net, oracle, data, cfg)
+    try:
+        res = train_feedback(net, oracle, data, cfg)
+    except DivergenceError as exc:
+        _record_divergence(exc, "feedback", history_path, result_path)
+        raise
     _dump_history(history_path, res.history)
     net.save(ckpt)
     summary = {"task": "feedback", "oracle": args.oracle, "epochs": res.epochs,

@@ -41,7 +41,12 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a training loss stops being finite."""
+    """Raised when a training loss or parameter stops being finite. `history`
+    holds the run's entries up to that point, so the run leaves a record."""
+
+    def __init__(self, message, history=()):
+        super().__init__(message)
+        self.history = list(history)
 
 
 class OracleError(RuntimeError):
@@ -56,7 +61,7 @@ def cosine_lr(base, step, total):
     return base * 0.5 * (1.0 + np.cos(np.pi * min(step, total) / total))
 
 
-def _supervised_step(net, opt, cfg, record, n_star, alpha, step, total, unit):
+def _supervised_step(net, opt, cfg, record, n_star, alpha, step, total, unit, history):
     """One timing-loss SGD step towards firing at n_star: loss, finiteness
     check, backward, scheduled learning rate. Returns (parts, loss, lr)."""
     # an overflow in the forward (see OVERFLOW_SILENT), loss or update runs on into the check
@@ -66,7 +71,7 @@ def _supervised_step(net, opt, cfg, record, n_star, alpha, step, total, unit):
         if not np.isfinite(loss_val):
             raise DivergenceError(f"non-finite loss at {unit} {step}: mem={parts.mem} "
                                   f"ramp={parts.ramp} alpha={alpha} "
-                                  f"max|U|={np.abs(record.noreset.data).max()}")
+                                  f"max|U|={np.abs(record.noreset.data).max()}", history)
         opt.zero_grad()
         parts.total.backward()
         lr_t = cosine_lr(cfg.lr, step, total) if cfg.lr_schedule == "cosine" else cfg.lr
@@ -74,13 +79,13 @@ def _supervised_step(net, opt, cfg, record, n_star, alpha, step, total, unit):
     return parts, loss_val, lr_t
 
 
-def _check_finite_parameters(net, where):
+def _check_finite_parameters(net, where, history):
     """Raise unless every parameter is finite. A NaN parameter can silence
     the spikes and so keep the loss finite: the loss check alone would let a
     run train on NaN until it ends."""
     bad = [name for name, p in net.named_parameters().items() if not np.isfinite(p.data).all()]
     if bad:
-        raise DivergenceError(f"non-finite parameters after {where}: {', '.join(bad)}")
+        raise DivergenceError(f"non-finite parameters after {where}: {', '.join(bad)}", history)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +328,8 @@ def train_arena(net, cfg):
             supervised = n_star
         record = net.forward(cells_seq)
         parts, loss_val, lr_t = _supervised_step(net, opt, cfg, record, supervised, alpha,
-                                                 i, cfg.max_iters, "iteration")
-        _check_finite_parameters(net, f"the update at iteration {i}")
+                                                 i, cfg.max_iters, "iteration", history)
+        _check_finite_parameters(net, f"the update at iteration {i}", history)
         n_c_eff = parts.n_c if parts.n_c is not None else len(record)
         alpha = update_alpha(alpha, [(supervised, n_c_eff)], cfg.eta)
         hit = parts.n_c == n_star
@@ -445,7 +450,7 @@ def train_feedback(net, oracle, data, cfg):
                 continue
             n_star_rel = fb.n_star - cur
             parts, loss_val, lr_t = _supervised_step(net, opt, cfg, record, n_star_rel, alpha,
-                                                     step_i, total, "sample")
+                                                     step_i, total, "sample", history)
             epoch_pairs.append((n_star_rel, w_len if no_spike else n_c_rel))
             cursors[si] = cur + cut_rel + 1
             history.append({"iter": step_i, "epoch": epoch, "stream": si,
@@ -454,7 +459,7 @@ def train_feedback(net, oracle, data, cfg):
                             "n_star": n_star_rel, "no_spike": no_spike,
                             "degenerate": fb.degenerate, "lr": lr_t})
             step_i += 1
-        _check_finite_parameters(net, f"epoch {epoch}")
+        _check_finite_parameters(net, f"epoch {epoch}", history)
         alpha = update_alpha(alpha, epoch_pairs, cfg.eta)
         history.append({"epoch": epoch, "alpha": alpha,
                         "pairs": [[int(a), int(b)] for a, b in epoch_pairs]})

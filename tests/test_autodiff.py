@@ -424,6 +424,23 @@ def test_sum_inputs_accumulate_second_gradients_separately():
     assert s.grad.flags.writeable and loss.grad.flags.writeable
 
 
+def test_second_backward_over_a_freed_graph_raises():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    h = x * 2.0
+    loss = (h * h).sum()
+    loss.backward()
+    assert x.grad.tolist() == [0.0, 8.0, 16.0]
+    assert h.grad.tolist() == [0.0, 4.0, 8.0]
+    with pytest.raises(RuntimeError, match="earlier backward has freed"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="earlier backward has freed"):
+        (h * 3.0).sum().backward()
+    assert x.grad.tolist() == [0.0, 8.0, 16.0]     # neither pass reached the leaf
+    # a leaf keeps its place: a new graph on it back-propagates as usual
+    (x * 1.5).sum().backward()
+    assert x.grad.tolist() == [1.5, 9.5, 17.5]
+
+
 def test_tensor_keeps_float32_and_widens_everything_else():
     assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
     for value in (np.ones(2, np.int64), np.ones(2, bool), 1.5, [1, 2], np.ones(2, np.float16)):

@@ -204,6 +204,27 @@ class TestTrain:
                    "--max-iters", "50", "--out-dir", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("task", ["arena-i", "feedback"])
+    def test_diverged_run_leaves_its_history_and_a_result(self, tmp_path, capsys, task):
+        """Exit 3, and the out-dir holds the entries before the divergence
+        and a result.json that names the error; no checkpoint."""
+        events, _ = synth_csv(tmp_path)
+        extra = (["--arch", "LN-IF", "--hw", "8x8", "--n-steps", "6", "--target", "3",
+                  "--lr", "1e6", "--max-iters", "50"] if task == "arena-i"
+                 else ["--events", str(events), "--geometry", "8x8", "--target-events", "30",
+                       "--lr", "1e300", "--lr-schedule", "constant"])
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["train", task, *extra, "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3 and err.startswith("training diverged: ")
+        history = [json.loads(l) for l in (out / "history.jsonl").read_text().splitlines()]
+        assert history and [h["iter"] for h in history] == list(range(len(history)))
+        result = json.loads((out / "result.json").read_text())
+        assert result == {"task": task, "error": err.strip(), "history_entries": len(history)}
+        assert not (out / "checkpoint.sslc").exists()
+
     def test_an_allocation_beyond_memory_exits_2(self, tmp_path, capsys):
         """1e12 cells of 2x32x32 float64 ask for 14.6 PiB, more than a 64-bit
         address space holds, so numpy refuses at once and nothing is allocated."""

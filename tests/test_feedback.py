@@ -290,6 +290,17 @@ class TestFeedbackLoop:
         with pytest.raises(DivergenceError, match="non-finite parameters after epoch 0"):
             train_feedback(net, DensityTargetOracle(12), [stream], cfg)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_error_carries_the_history_so_far(self):
+        """The parameter check's error, too, holds the entries before it."""
+        cfg = FeedbackConfig(dt_us=100, epochs=2, samples_per_epoch=1, window=8,
+                             lr=1e300, lr_schedule="constant", seed=0)
+        net = build_arena_net(ArenaConfig(arch="LN-IF", in_hw=(8, 8), seed=0))
+        stream = uniform_stream(24, events_per_cell=6, seed=3)
+        with pytest.raises(DivergenceError, match="parameters after epoch 0") as info:
+            train_feedback(net, DensityTargetOracle(12), [stream], cfg)
+        assert [(h["iter"], h["epoch"]) for h in info.value.history] == [(0, 0)]
+
     def test_alpha_replay_exact(self):
         result, cfg = self.run_micro()
         replayed, logged = replay_alpha(result.history, cfg.alpha0, cfg.eta)

@@ -6,6 +6,8 @@ a faster path; it lives only here. The kernels promise the same bits, not
 merely close values: BLAS and numpy sum in an order fixed by shape and
 layout, so equal inputs must give equal bytes.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 from evslicer import autodiff as ad
 from evslicer.autodiff import Tensor
 from evslicer.losses import timing_loss
-from evslicer.snn import CHUNK, NeuronConfig, SlicerNet
+from evslicer.snn import CHUNK, NeuronConfig, SlicerNet, SpikeLayer
 
 DTYPES = (np.float32, np.float64)
 
@@ -323,11 +325,53 @@ def test_default_net_hands_on_c_ordered_arrays(dtype):
     cells = np.random.default_rng(2).poisson(0.6, size=(2 * CHUNK + 5, 2, 32, 32))
     record = net.forward(cells.astype(np.float64))
     loss = timing_loss(record, 2 * CHUNK + 2, 0.5, net.neuron).total
+    nodes = graph_nodes(loss)     # before the backward, which frees the graph
     loss.backward()
-    nodes = graph_nodes(loss)
     assert len(nodes) > 50
     for node in nodes:
         assert node.data.flags.c_contiguous, node
         if node.grad is not None:
             assert node.grad.flags.c_contiguous, node
     assert all(p.grad.flags.c_contiguous for p in net.parameters())
+
+
+def arena_step_on_default_net():
+    """A default net and the 30 cells of 2x32x32 of an arena step."""
+    net = SlicerNet(seed=0)
+    cells = np.random.default_rng(0).poisson(0.5, size=(30, 2, 32, 32)).astype(np.float64)
+    return net, cells
+
+
+def test_backward_leaves_no_graph_behind_the_carried_state():
+    """The loss's trace and the carried membrane potentials are graph nodes;
+    after the backward none of them pins the graph it ran. No loss depends
+    on a carried potential, so the backward never walks it and it keeps its
+    link to its own scan's node: that one the backward has freed."""
+    net, cells = arena_step_on_default_net()
+    record = net.forward(cells)
+    timing_loss(record, 20, 0.5, net.neuron).total.backward()
+    assert graph_nodes(record.noreset) == [record.noreset]
+    carried = [net.head.u] + [layer.v for layer in net.layers if isinstance(layer, SpikeLayer)]
+    assert len(carried) > 2
+    for node in carried:
+        reached = graph_nodes(node)
+        assert len(reached) <= 2
+        assert all(n._prev == () and n._backward is ad._freed for n in reached[1:])
+
+
+def test_backward_frees_the_forward_buffers():
+    """With the record and the loss still held, the heap after the backward
+    is a small part of the forward's: what is left is the parameters'
+    gradients, not the graph's saved buffers."""
+    net, cells = arena_step_on_default_net()
+    tracemalloc.start()
+    try:
+        record = net.forward(cells)
+        loss = timing_loss(record, 20, 0.5, net.neuron).total
+        after_forward = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        after_backward = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after_backward < after_forward / 4, (after_forward, after_backward)
+    assert record.noreset.grad is not None and loss.grad is not None
