@@ -58,13 +58,6 @@ def _freed(grad):
                        "run the forward again to build a new one")
 
 
-# While Tensor.backward runs: {id(weight): (weight, buffer, [(g, x), ...])},
-# the output gradients and inputs of the linear blocks whose weight gradient
-# it forms at its end, in one product over all of them into the buffer (see
-# `linear`).
-_deferred = None
-
-
 class no_grad:
     """Context manager that disables graph construction (inference mode)."""
 
@@ -218,28 +211,20 @@ class Tensor:
             for parent in node._prev:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        global _deferred
-        outer, _deferred = _deferred, {}
-        try:
-            self.grad = np.ones_like(self.data)
-            while tape:
-                # popped, so the tape no longer holds the nodes already done
-                node = tape.pop()
-                if node._backward is None:      # a leaf
-                    continue
-                if node.grad is not None:
-                    # read-only while its backward runs, so that _accum copies
-                    # it if the backward hands it on unchanged
-                    node.grad.flags.writeable = False
-                    node._backward(node.grad)
-                    node.grad.flags.writeable = True
-                node._prev = ()
-                node._backward = _freed
-            for weight, buf, blocks in _deferred.values():
-                gs, xs = zip(*blocks)
-                _accum(weight, np.matmul(np.concatenate(gs).T, np.concatenate(xs), out=buf))
-        finally:
-            _deferred = outer
+        self.grad = np.ones_like(self.data)
+        while tape:
+            # popped, so the tape no longer holds the nodes already done
+            node = tape.pop()
+            if node._backward is None:      # a leaf
+                continue
+            if node.grad is not None:
+                # read-only while its backward runs, so that _accum copies
+                # it if the backward hands it on unchanged
+                node.grad.flags.writeable = False
+                node._backward(node.grad)
+                node.grad.flags.writeable = True
+            node._prev = ()
+            node._backward = _freed
 
 
 def _as_tensor(value):
@@ -481,14 +466,8 @@ def linear(x, weight, bias=None, rows=None):
     (one row, or one output feature, takes a matrix-vector kernel), so with
     one block shape a row's result does not depend on how many rows share
     the call, and a sequence forwarded in pieces gives the same bits as
-    forwarded whole.
-
-    A leaf weight with more output features than a block has rows gets its
-    gradient once per `Tensor.backward`: each block's backward stashes its
-    (output gradient, input) pair, and the backward forms g.T @ x over all
-    blocks in one product when it ends, instead of one weight-sized product
-    and one weight-sized sum per block. Smaller weights, and a backward
-    called outside `Tensor.backward`, take their gradient per block.
+    forwarded whole. The backward forms each gradient in one product over
+    all rows.
     """
     if x.data.ndim != 2 or weight.data.ndim != 2:
         raise ShapeError(f"linear expects 2-d x and weight, got {x.data.shape}, {weight.data.shape}")
@@ -516,22 +495,11 @@ def linear(x, weight, bias=None, rows=None):
         y += bias.data
     out = _node(y, inputs)
     if out.requires_grad:
-        defer = w_data.shape[0] > rows and weight._backward is None
-
         def _bw(g):
             if x.requires_grad:
                 _accum(x, g @ w_data)
             if weight.requires_grad:
-                if defer and _deferred is not None:
-                    if id(weight) not in _deferred:
-                        # allocated now, while the backward's heap is small,
-                        # as the per-block product was: allocated at the end
-                        # it would sit on top of the backward's peak
-                        buf = np.empty(w_data.shape, dtype=np.result_type(g, x_data))
-                        _deferred[id(weight)] = (weight, buf, [])
-                    _deferred[id(weight)][2].append((g, x_data))
-                else:
-                    _accum(weight, g.T @ x_data)
+                _accum(weight, g.T @ x_data)
             if bias is not None and bias.requires_grad:
                 _accum(bias, g.sum(axis=0))
         out._backward = _bw

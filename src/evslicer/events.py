@@ -164,16 +164,22 @@ def build_cells(stream, dt_us, n_cells=None):
             f"stream span {stream.span_us}us shorter than one {dt_us}us cell"
         )
     h, w = stream.height, stream.width
-    idx = _window_index(stream, dt_us)
-    keep = idx < n
+    # the events kept are the time-sorted prefix before the end of cell n-1
+    m = int(_first_at_or_after(stream.t, (stream.t0 + n * dt_us,))[0])
     # one count per (cell, polarity, y, x); channel 0 = +1, channel 1 = -1.
+    # The cell index is below n, so its uint64 bits read as the same int64.
+    flat = ((stream.t[:m] - np.uint64(stream.t0)) // np.uint64(dt_us)).view(np.int64)
+    flat *= 2
+    flat += stream.p[:m] < 0
+    flat *= h
+    flat += stream.y[:m]
+    flat *= w
+    flat += stream.x[:m]
     # Unit weights give float64 counts directly, without an int64 copy;
     # bincount still returns int64 for empty input, so the cast covers that.
-    cell = idx[keep].astype(np.int64)
-    flat = ((cell * 2 + (stream.p[keep] < 0)) * h + stream.y[keep]) * w + stream.x[keep]
-    grids = np.bincount(flat, weights=np.ones(flat.size), minlength=n * 2 * h * w)
+    grids = np.bincount(flat, weights=np.ones(m), minlength=n * 2 * h * w)
     grids = grids.astype(np.float64, copy=False).reshape(n, 2, h, w)
-    dropped = int(len(stream) - flat.size)
+    dropped = len(stream) - m
     return CellSequence(grids=grids, t0=stream.t0, dt_us=int(dt_us), dropped_tail_events=dropped)
 
 

@@ -76,6 +76,9 @@ def _supervised_step(net, opt, cfg, record, n_star, alpha, step, total, unit, hi
         parts.total.backward()
         lr_t = cosine_lr(cfg.lr, step, total) if cfg.lr_schedule == "cosine" else cfg.lr
         opt.step(lr_t)
+    # the carried potentials link to their last blocks' freed scan nodes;
+    # every training forward starts from rest anyway
+    net.reset_state()
     return parts, loss_val, lr_t
 
 

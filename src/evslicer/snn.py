@@ -10,16 +10,18 @@ The output neuron additionally tracks a never-reset twin U of its membrane
 potential; training losses read U because a reset would erase exactly the
 value the loss needs to supervise. Before the first spike U[n] == V[n].
 
-The net runs time-major: a cell sequence is cut into blocks of CHUNK cells,
-and each block goes through the layers as one (T, C, H, W) batch. Conv,
-group norm, pooling and linear layers treat the T cells as independent
-samples; only the spiking layers couple time steps, and each of them is one
-`autodiff.neuron_scan` node per block, carrying its membrane potential into
-the next block (and, with keep_state, into the next forward). The output
-neuron runs the same scan over the whole sequence of output currents: with
-reset on plain floats for the spike decisions (`Neuron.run`, which
-`run_neuron` and the timing-guarantee checks exercise), and without reset as
-a graph node for U.
+The net runs time-major. The spatial stack (every layer before the first
+linear one) takes a cell sequence in blocks of CHUNK cells, each block one
+(T, C, H, W) batch; the flat tail (the first linear layer and everything
+after it) then runs once on the N rows of all blocks. Conv, group norm,
+pooling and linear layers treat the cells as independent samples; only the
+spiking layers couple time steps, and each of them is one
+`autodiff.neuron_scan` node per block (in the tail, per forward), carrying
+its membrane potential into the next block (and, with keep_state, into the
+next forward). The output neuron runs the same scan over the whole sequence
+of output currents: with reset on plain floats for the spike decisions
+(`Neuron.run`, which `run_neuron` and the timing-guarantee checks exercise),
+and without reset as a graph node for U.
 
 Precision: the body (every layer before the output neuron) computes in the
 net's `dtype`, float32 by default, and a `cast` node hands its output
@@ -44,11 +46,12 @@ from .schema import check_fields, declared, from_json
 
 DEFAULT_ARCH = "16C3-GN-IF-AvgP2-32C3-GN-IF-AvgP2-64C3-GN-IF-AdaP2-LN-IF-LN-IF"
 
-# Cells per time-major block. Longer blocks mean fewer graph nodes per
-# sequence, shorter ones a smaller working set without a graph (the
-# activations of one block). Training the default net on 30 cells ran as
-# fast with 8 as with 15, and a 90-cell forward without a graph peaked
-# 6 MB lower.
+# Cells per time-major block of the spatial stack; the flat tail, whose
+# per-cell footprint is small, runs on all cells at once. Longer blocks mean
+# fewer graph nodes per sequence, shorter ones a smaller working set without
+# a graph (the activations of one block). Training the default net on 30
+# cells ran as fast with 8 as with 15, and a 90-cell forward without a graph
+# peaked 6 MB lower. The linear layers multiply in products of CHUNK rows.
 CHUNK = 8
 
 # A net whose numbers outgrow its dtype carries inf or NaN on, unwarned: the
@@ -133,13 +136,19 @@ def first_spike_index(record):
 # layers
 # ---------------------------------------------------------------------------
 
+def _initial_weight(rng, gain, fan_in, shape):
+    """He-normal values scaled by gain, drawn from rng; zeros for rng None,
+    a net whose checkpoint will fill them."""
+    if rng is None:
+        return Tensor(np.zeros(shape), requires_grad=True)
+    return Tensor(rng.normal(0.0, gain * np.sqrt(2.0 / fan_in), size=shape), requires_grad=True)
+
+
 class ConvLayer:
     def __init__(self, name, in_ch, out_ch, k, rng, gain):
-        fan_in = in_ch * k * k
         self.name = name
         self.k = k
-        self.weight = Tensor(rng.normal(0.0, gain * np.sqrt(2.0 / fan_in), size=(out_ch, in_ch, k, k)),
-                             requires_grad=True)
+        self.weight = _initial_weight(rng, gain, in_ch * k * k, (out_ch, in_ch, k, k))
         self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
 
     def params(self):
@@ -212,8 +221,7 @@ class AdaptivePoolLayer:
 class LinearLayer:
     def __init__(self, name, in_features, out_features, rng, gain):
         self.name = name
-        self.weight = Tensor(rng.normal(0.0, gain * np.sqrt(2.0 / in_features),
-                                        size=(out_features, in_features)), requires_grad=True)
+        self.weight = _initial_weight(rng, gain, in_features, (out_features, in_features))
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def params(self):
@@ -222,7 +230,7 @@ class LinearLayer:
     def __call__(self, x):
         if x.ndim > 2:
             x = x.reshape(x.shape[0], -1)
-        # one product shape for every block keeps keep_state splits bit-exact
+        # one product shape for every row keeps keep_state splits bit-exact
         return ad.linear(x, self.weight, self.bias, rows=CHUNK)
 
 
@@ -297,14 +305,15 @@ class SlicerNet:
     def __init__(self, arch=DEFAULT_ARCH, in_hw=(32, 32), in_channels=2,
                  neuron=None, gn_groups=4, hidden_units=512, seed=0,
                  init_gain=1.0, input_scale=1.0, dtype="float32"):
-        self.spec = NetSpec(arch, tuple(in_hw), in_channels, neuron or NeuronConfig(), gn_groups,
-                            hidden_units, seed, init_gain, input_scale, dtype)
-        vars(self).update(vars(self.spec))     # its fields are the net's attributes
-        self._build()
-        self.reset_state()
+        spec = NetSpec(arch, tuple(in_hw), in_channels, neuron or NeuronConfig(), gn_groups,
+                       hidden_units, seed, init_gain, input_scale, dtype)
+        self._build(spec, np.random.Generator(np.random.PCG64(seed)))
 
-    def _build(self):
-        rng = np.random.Generator(np.random.PCG64(self.seed))
+    def _build(self, spec, rng):
+        """Lay out the layers of `spec`, their weights drawn from rng (zeros
+        for rng None), and start at rest."""
+        self.spec = spec
+        vars(self).update(vars(spec))     # its fields are the net's attributes
         tokens = parse_architecture(self.arch)
         linear_total = sum(1 for t in tokens if t["kind"] == "linear")
         self.layers = []
@@ -362,6 +371,7 @@ class SlicerNet:
         with np.errstate(**OVERFLOW_SILENT):
             for p in self.parameters():
                 p.data = p.data.astype(self.dtype, copy=False)
+        self.reset_state()
 
     # -- parameters ----------------------------------------------------------
 
@@ -394,21 +404,31 @@ class SlicerNet:
 
     def body(self, grids, probe=None):
         """Push a (N, C, H, W) cell sequence through every layer before the
-        output neuron, CHUNK cells at a time, in the net's dtype; returns the
-        (N,) float64 node of the output currents. probe(i, x), if given, sees
-        the input block x of layer i."""
-        currents = []
-        for start in range(0, len(grids), CHUNK):
-            x = Tensor(np.multiply(grids[start:start + CHUNK], self.input_scale, dtype=self.dtype))
-            for i, layer in enumerate(self.layers):
+        output neuron, in the net's dtype; returns the (N,) float64 node of
+        the output currents. The spatial stack (the layers before the first
+        linear one) runs CHUNK cells at a time; the flat tail runs once, on
+        all N rows. probe(i, x), if given, sees the input x of layer i."""
+        if not len(grids):
+            return Tensor(np.zeros(0))
+
+        def walk(x, first, end):
+            for i in range(first, end):
                 if probe is not None:
                     probe(i, x)
-                x = layer(x)
-            if x.size != x.shape[0]:
-                raise ShapeError(f"output current must be one value per cell, "
-                                 f"got shape {x.shape[1:]}")
-            currents.append(x)
-        return ad.cast(ad.concat(currents).reshape(-1), np.float64)
+                x = self.layers[i](x)
+            return x
+
+        tail = next((i for i, layer in enumerate(self.layers) if isinstance(layer, LinearLayer)),
+                    len(self.layers))
+        step = CHUNK if tail else len(grids)
+        blocks = []
+        for start in range(0, len(grids), step):
+            cells = np.multiply(grids[start:start + step], self.input_scale, dtype=self.dtype)
+            blocks.append(walk(Tensor(cells), 0, tail))
+        x = walk(ad.concat(blocks), tail, len(self.layers))
+        if x.size != x.shape[0]:
+            raise ShapeError(f"output current must be one value per cell, got shape {x.shape[1:]}")
+        return ad.cast(x.reshape(-1), np.float64)
 
     def forward(self, cells, relaxed=False, keep_state=False):
         """Run a cell sequence through the net; returns the output SpikeRecord.
@@ -449,8 +469,9 @@ class SlicerNet:
             except ValueError as exc:
                 raise CheckpointError(f"{sidecar}: not a JSON sidecar: {exc}") from None
         spec = from_json(NetSpec, meta, CheckpointError, sidecar)
+        net = cls.__new__(cls)      # no initial draw: the checkpoint sets every parameter
         try:   # an architecture that does not parse, or does not funnel to one output
-            net = cls(**vars(spec))
+            net._build(spec, None)
         except ValueError as exc:
             raise CheckpointError(f"{sidecar}: {exc}") from None
         net.load_parameters(path)

@@ -340,6 +340,22 @@ def test_linear_fixed_rows_are_split_invariant(out_features, dtype):
         part = linear(Tensor(x[lo:hi]), w, b, rows=CHUNK).data
         assert part.tobytes() == whole[lo:hi].tobytes()
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_fixed_rows_keep_row_bits_at_any_row_count(dtype):
+    """A 64x300 weight, whose one product over all rows OpenBLAS sums in
+    another order than CHUNK-row products from 24 rows on: with rows=CHUNK
+    a row's bits do not depend on how many rows the call holds, nor on
+    where the call starts."""
+    r = rng_for(12)
+    x = r.normal(size=(12 * CHUNK, 300)).astype(dtype)
+    w, b = Tensor(r.normal(size=(64, 300)).astype(dtype)), Tensor(r.normal(size=64).astype(dtype))
+    whole = linear(Tensor(x), w, b, rows=CHUNK).data
+    for m in range(1, len(x) + 1):
+        assert linear(Tensor(x[:m]), w, b, rows=CHUNK).data.tobytes() == whole[:m].tobytes()
+    for lo in (1, 3, CHUNK + 5):
+        assert linear(Tensor(x[lo:]), w, b, rows=CHUNK).data.tobytes() == whole[lo:].tobytes()
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=10, deadline=None)
 def test_exp_log_pow_grads(seed):

@@ -16,7 +16,8 @@ from hypothesis.extra import numpy as hnp
 from evslicer import autodiff as ad
 from evslicer.autodiff import Tensor
 from evslicer.losses import timing_loss
-from evslicer.snn import CHUNK, NeuronConfig, SlicerNet, SpikeLayer
+from evslicer.feedback import ArenaConfig, build_arena_net, train_arena
+from evslicer.snn import CHUNK, LinearLayer, NeuronConfig, SlicerNet, SpikeLayer
 
 DTYPES = (np.float32, np.float64)
 
@@ -236,58 +237,45 @@ def test_group_norm_matches_out_of_place_form(dtype, n, channels, hw, seed):
 
 
 # ---------------------------------------------------------------------------
-# linear weight gradient, formed once per backward
+# linear weight gradient
 # ---------------------------------------------------------------------------
 
 def blocked_linear_loss(x, w, b, coef):
-    """A loss over a CHUNK-row linear applied block by block, as the
-    slicing net applies its linear layers."""
+    """A loss over a CHUNK-row linear applied block by block, one node per
+    block sharing the weight."""
     blocks = [ad.linear(x[i:i + CHUNK], w, b, rows=CHUNK) for i in range(0, x.shape[0], CHUNK)]
     return (ad.concat(blocks) * Tensor(coef)).sum()
 
 
-def test_deferred_weight_gradient_equals_the_per_block_sum():
-    r = np.random.default_rng(3)
+def test_backward_that_raises_leaves_no_weight_gradient():
+    """A backward that fails before it reaches a linear node leaves no
+    weight gradient behind, and the next backward forms the gradient from
+    its own graph only."""
+    r = np.random.default_rng(4)
     x = Tensor(r.normal(size=(3 * CHUNK, 40)), requires_grad=True)
     w = Tensor(r.normal(size=(24, 40)), requires_grad=True)
-    b = Tensor(r.normal(size=24), requires_grad=True)
     coef = r.normal(size=(3 * CHUNK, 24))
-    blocked_linear_loss(x, w, b, coef).backward()
-    want = sum(coef[i:i + CHUNK].T @ x.data[i:i + CHUNK] for i in range(0, 3 * CHUNK, CHUNK))
-    assert w.grad.shape == w.shape and w.grad.flags.c_contiguous
-    np.testing.assert_allclose(w.grad, want, rtol=0, atol=1e-12)
-    assert ad._deferred is None
-
-
-def test_backward_that_raises_leaves_no_stash():
-    """A backward that fails after a linear block stashed its pair leaves
-    neither the stash nor a weight gradient behind, and the next backward
-    forms its gradient from its own blocks only."""
-    r = np.random.default_rng(4)
-    x0 = Tensor(r.normal(size=(CHUNK, 40)), requires_grad=True)
-    w = Tensor(r.normal(size=(24, 40)), requires_grad=True)
-    coef = r.normal(size=(CHUNK, 24))
 
     def loss():
-        return (ad.linear(x0 * 1.5, w, rows=CHUNK) * Tensor(coef)).sum()
+        return (ad.linear(x, w, rows=CHUNK) * Tensor(coef)).sum()
 
     def fail(g):
         raise RuntimeError("backward failed")
 
     failing = loss()
-    failing._prev[0]._prev[0]._prev[0]._backward = fail     # x0 * 1.5, behind the linear
+    failing._prev[0]._backward = fail     # the product with coef, in front of the linear
     with pytest.raises(RuntimeError, match="backward failed"):
         failing.backward()
-    assert ad._deferred is None and w.grad is None
+    assert w.grad is None and x.grad is None
     loss().backward()
-    np.testing.assert_allclose(w.grad, coef.T @ (1.5 * x0.data), rtol=0, atol=1e-12)
+    assert same_bytes(w.grad, coef.T @ x.data)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_weight_with_few_outputs_keeps_its_per_block_gradient(dtype):
-    """fc1's and the LN-IF head's weights (out_features <= rows) take g.T @ x
-    block by block, summed in the order the backward reaches the blocks
-    (the first block first in this graph), as before."""
+    """A weight shared by several linear nodes takes g.T @ x node by node,
+    summed in the order the backward reaches them (the first block first in
+    this graph)."""
     r = np.random.default_rng(5)
     x = Tensor(r.normal(size=(3 * CHUNK, 64)).astype(dtype), requires_grad=True)
     w = Tensor(r.normal(size=(CHUNK, 64)).astype(dtype), requires_grad=True)
@@ -357,6 +345,57 @@ def test_backward_leaves_no_graph_behind_the_carried_state():
         reached = graph_nodes(node)
         assert len(reached) <= 2
         assert all(n._prev == () and n._backward is ad._freed for n in reached[1:])
+
+
+def test_training_step_leaves_no_graph_behind_the_carried_state():
+    """After a training update no carried potential links to the graph the
+    backward freed."""
+    cfg = ArenaConfig(max_iters=1, seed=1)
+    net = build_arena_net(cfg)
+    train_arena(net, cfg)
+    carried = [net.head.u, net.head.v] + [layer.v for layer in net.layers
+                                          if isinstance(layer, SpikeLayer)]
+    assert not any(graph_nodes(node)[1:] for node in carried if node is not None)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_default_net_runs_its_flat_tail_once_per_forward(dtype):
+    """The spatial stack runs in CHUNK-cell blocks; the flat tail from fc0
+    on is one node per linear layer and one scan per spiking layer, over all
+    cells, and so is the output neuron's trace."""
+    net = SlicerNet(dtype=dtype, seed=2)
+    n = 2 * CHUNK + 5
+    record = net.forward(np.random.default_rng(2).poisson(0.6, size=(n, 2, 32, 32)))
+    nodes = graph_nodes(record.noreset)
+    linears = [layer for layer in net.layers if isinstance(layer, LinearLayer)]
+    uses = [[node for node in nodes if any(p is layer.weight for p in node._prev)]
+            for layer in linears]
+    assert [len(u) for u in uses] == [1, 1] and all(u[0].shape[0] == n for u in uses)
+    spatial = [layer for layer in net.layers[:net.layers.index(linears[0])]
+               if isinstance(layer, SpikeLayer)]
+    tail = [layer for layer in net.layers[net.layers.index(linears[0]):]
+            if isinstance(layer, SpikeLayer)]
+    assert (len(spatial), len(tail)) == (3, 1)
+    lengths = sorted(node.shape[0] for node in nodes
+                     if getattr(node._backward, "__qualname__", "") == "neuron_scan.<locals>._bw")
+    assert lengths == sorted([CHUNK, CHUNK, 5] * len(spatial) + [n] * (len(tail) + 1))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_fc0_weight_gradient_is_one_product_over_the_rows_in_time_order(dtype):
+    """fc0's weight gradient is g.T @ x of its one node: the output gradient
+    and the input of every cell, in time order."""
+    net = SlicerNet(dtype=dtype, seed=2, init_gain=2.0)
+    n = 2 * CHUNK + 5
+    record = net.forward(np.random.default_rng(3).poisson(0.6, size=(n, 2, 32, 32)))
+    loss = timing_loss(record, n - 3, 0.5, net.neuron).total
+    fc0 = next(layer for layer in net.layers if isinstance(layer, LinearLayer))
+    (node,) = [node for node in graph_nodes(loss) if any(p is fc0.weight for p in node._prev)]
+    x = node._prev[0]
+    assert x.shape[0] == n
+    loss.backward()
+    assert node.grad.any()
+    assert same_bytes(fc0.weight.grad, node.grad.T @ x.data)
 
 
 def test_backward_frees_the_forward_buffers():

@@ -234,6 +234,44 @@ def test_default_float32_net_splits_are_bit_exact(seed, split):
     assert chunked_u.tobytes() == whole.noreset.data.tobytes()
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("sizes", [(13, 8), (3, 5, 13)], ids=["13+8", "3+5+13"])
+def test_splits_off_the_block_grid_are_bit_exact(sizes, dtype):
+    """A spatial stack and a flat tail with a hidden spiking layer: keep_state
+    pieces that do not line up with CHUNK give the one-shot forward's bytes."""
+    net = SlicerNet("8C3-GN-IF-AvgP2-LN-LIF-LN-IF", in_hw=(8, 8), hidden_units=64, seed=4,
+                    neuron=NeuronConfig(beta=0.9, v_reset=-0.2), init_gain=2.0, dtype=dtype)
+    cells = random_cells(4, sum(sizes))
+    fc1_in = []
+    net.body(cells, lambda i, x: fc1_in.append(x.data) if i == len(net.layers) - 1 else None)
+    assert fc1_in[0].shape[0] == len(cells) and fc1_in[0].any()     # the tail's LIF fires
+    whole = net.forward(cells)
+    bounds = np.cumsum((0,) + sizes)
+    parts = [net.forward(cells[lo:hi], keep_state=lo > 0) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    for field in ("spikes", "potentials", "currents"):
+        chunked = np.concatenate([getattr(p, field) for p in parts])
+        assert chunked.tobytes() == getattr(whole, field).tobytes()
+    chunked_u = np.concatenate([p.noreset.data for p in parts])
+    assert chunked_u.tobytes() == whole.noreset.data.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("arch", [DEFAULT_ARCH, "LN-IF"], ids=["default", "LN-IF"])
+def test_zero_cell_forward_gives_an_empty_record(arch, dtype):
+    """No cells give an empty record and leave the carried state as it was."""
+    net = SlicerNet(arch, dtype=dtype, init_gain=2.0)
+    record = net.forward(np.zeros((0, 2, 32, 32)))
+    assert len(record) == 0
+    for got, want in ((record.spikes, np.int8), (record.potentials, np.float64),
+                      (record.noreset.data, np.float64), (record.currents, np.float64)):
+        assert got.shape == (0,) and got.dtype == want
+    cells = random_cells(5, 11, hw=(32, 32))
+    whole = net.forward(cells)
+    parts = [net.forward(cells[:5]), net.forward(cells[5:5], keep_state=True),
+             net.forward(cells[5:], keep_state=True)]
+    assert np.concatenate([p.potentials for p in parts]).tobytes() == whole.potentials.tobytes()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_float32_gradients_match_float64(seed):
     """The float32 body's analytic timing-loss gradients agree with the
@@ -385,6 +423,22 @@ def test_bad_sidecar_raises_checkpoint_error(tmp_path, change):
     change(meta)
     (tmp_path / "net.sslc.meta.json").write_text(json.dumps(meta))
     with pytest.raises(CheckpointError):
+        SlicerNet.load(path)
+
+
+@pytest.mark.parametrize("arch, match", [
+    ("4C3-GN-IF-AvgP2-LN-IF-LN-IF", r"missing \['fc1.bias', 'fc1.weight'\], extra \[\]"),
+    ("4C3-IF-AvgP2-LN-IF", r"missing \[\], extra \['gn0.bias', 'gn0.weight'\]"),
+    ("8C3-GN-IF-AvgP2-LN-IF", r"conv0.weight has shape \(4, 2, 3, 3\), expected \(8, 2, 3, 3\)"),
+])
+def test_load_against_another_architecture_raises_checkpoint_error(tmp_path, arch, match):
+    """A sidecar naming another layout than the stored tensors: missing,
+    extra and mis-shaped tensors are all refused."""
+    net = small_net(seed=13)
+    path = tmp_path / "net.sslc"
+    net.save(path)
+    (tmp_path / "net.sslc.meta.json").write_text(json.dumps({**net.meta(), "arch": arch}))
+    with pytest.raises(CheckpointError, match=match):
         SlicerNet.load(path)
 
 
