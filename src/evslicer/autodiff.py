@@ -1,8 +1,8 @@
 """Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
 Just enough machinery for a small convolutional spiking network: elementwise
-arithmetic with numpy broadcasting, matmul/linear, 2-d convolution (im2col),
-average pooling (fixed and adaptive), group normalization, reductions,
+arithmetic with numpy broadcasting, linear, 2-d convolution (im2col),
+average pooling (fixed and adaptive), group normalization, summation,
 exp/log, concatenation and gather along the leading axis, a step activation
 whose backward pass is a rectangular surrogate window, the spiking neuron's
 membrane recurrence scanned over time as one node, and a cast between the
@@ -154,9 +154,6 @@ class Tensor:
             return mul(self, power(other, -1.0))
         return mul(self, 1.0 / float(other))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, index):
         return gather(self, index)
 
@@ -171,9 +168,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
 
     # -- backward ------------------------------------------------------------
 
@@ -377,17 +371,6 @@ def tensor_sum(a, axis=None, keepdims=False):
     return out
 
 
-def tensor_mean(a, axis=None, keepdims=False):
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= a.data.shape[ax % a.data.ndim]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 def concat(tensors):
     """Join tensors along axis 0. The backward hands each part its slice of
     the gradient and skips parts whose slice is all zeros, so a loss that
@@ -440,23 +423,6 @@ def cast(a, dtype):
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
-
-def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-    a_data, b_data = a.data, b.data
-    out = _node(a_data @ b_data, (a, b))
-    if out.requires_grad:
-        def _bw(g):
-            if a.requires_grad:
-                _accum(a, g @ b_data.T)
-            if b.requires_grad:
-                _accum(b, a_data.T @ g)
-        out._backward = _bw
-    return out
-
 
 def linear(x, weight, bias=None, rows=None):
     """y = x @ weight.T (+ bias); weight is (out_features, in_features).

@@ -19,6 +19,7 @@ import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from . import __version__
 from .autodiff import save_named_tensors
 from .energy import energy_report, profile_network
 from .events import (
+    CellSequence,
     Scenario,
     build_cells,
     density_profile,
@@ -181,7 +183,6 @@ def cmd_cells(args):
 
 def load_cells(path):
     """Round-trip reader for the cells artifact."""
-    from .events import CellSequence
     with np.load(path) as data:
         return CellSequence(grids=data["grids"], t0=int(data["t0"]),
                             dt_us=int(data["dt_us"]),
@@ -288,8 +289,8 @@ def cmd_train(args):
 # slice
 # ---------------------------------------------------------------------------
 
-def _slice_one(ckpt_path, events_path, geometry, args, out_dir):
-    net = SlicerNet.load(ckpt_path)
+def _slice_one(args, geometry, events_path, out_dir):
+    net = SlicerNet.load(args.checkpoint)
     stream = _read_stream(events_path, geometry, args.t0_us, args.span_us)
     decisions = slice_stream(net, stream, args.dt_us, args.repr_kind,
                              flush_tail=not args.no_flush_tail,
@@ -320,33 +321,29 @@ def _slice_one(ckpt_path, events_path, geometry, args, out_dir):
 def cmd_slice(args):
     started = _utc_now()
     out_dir = Path(args.out_dir)
+    multi = len(args.events) > 1
+    keys = [Path(ev).stem for ev in args.events] if multi else ["main"]
+    clash = next((key for key in keys if keys.count(key) > 1), None)
+    if clash is not None:
+        paths = ", ".join(ev for ev, key in zip(args.events, keys) if key == clash)
+        raise ConfigError(f"{paths} would all write {out_dir / clash}; "
+                          "give the event files distinct names")
     out_dir.mkdir(parents=True, exist_ok=True)
     geometry = _parse_geometry(args.geometry) if args.geometry else None
-    multi = len(args.events) > 1
-    jobs = []
-    for events_path in args.events:
-        sub = out_dir / Path(events_path).stem if multi else out_dir
-        jobs.append((events_path, sub))
-    outputs = {}
+    subs = [out_dir / key for key in keys] if multi else [out_dir]
+    work = partial(_slice_one, args, geometry)
     if args.jobs > 1 and multi:
         # parallel across independent streams only; each worker reloads the
         # checkpoint so no model state is shared
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {pool.submit(_slice_one, args.checkpoint, ev, geometry, args, sub):
-                       (ev, sub) for ev, sub in jobs}
-            for fut in concurrent.futures.as_completed(futures):
-                ev, _ = futures[fut]
-                dec_path, rep_path, n = fut.result()
-                outputs[f"decisions:{Path(ev).stem}"] = dec_path
-                outputs[f"report:{Path(ev).stem}"] = rep_path
-                print(f"{ev}: {n} slices")
+            results = list(pool.map(work, args.events, subs))
     else:
-        for ev, sub in jobs:
-            dec_path, rep_path, n = _slice_one(args.checkpoint, ev, geometry, args, sub)
-            key = Path(ev).stem if multi else "main"
-            outputs[f"decisions:{key}"] = dec_path
-            outputs[f"report:{key}"] = rep_path
-            print(f"{ev}: {n} slices")
+        results = map(work, args.events, subs)
+    outputs = {}
+    for ev, key, (dec_path, rep_path, n) in zip(args.events, keys, results):
+        outputs[f"decisions:{key}"] = dec_path
+        outputs[f"report:{key}"] = rep_path
+        print(f"{ev}: {n} slices")
     config = {"dt_us": args.dt_us, "repr": args.repr_kind, "n_bins": args.n_bins,
               "tau_us": args.tau_us, "flush_tail": not args.no_flush_tail,
               "reset_per_slice": args.reset_per_slice}
@@ -437,9 +434,10 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--out-dir", default=".", help="artifact directory")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="workers for commands over multiple independent streams")
-    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1,
+                      help="workers for commands over multiple independent streams")
+    seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="run seed")
 
     stream_flags = argparse.ArgumentParser(add_help=False)
@@ -455,14 +453,14 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", parents=[seeded],
+    p_synth = sub.add_parser("synth", parents=[common, seeded],
                              help="generate a synthetic event stream from a scenario")
     p_synth.add_argument("--scenario", required=True, help="scenario JSON path")
     p_synth.add_argument("--out", help="output file name (default events.csv)")
     p_synth.add_argument("--fmt", choices=("csv", "binary"), default="csv")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_cells = sub.add_parser("cells", parents=[seeded, stream_flags],
+    p_cells = sub.add_parser("cells", parents=[common, seeded, stream_flags],
                              help="bin an event file into fixed-duration cell grids")
     p_cells.add_argument("--events", required=True)
     p_cells.add_argument("--dt-us", type=int, required=True)
@@ -507,7 +505,7 @@ def build_parser():
                          help="start feedback training from this checkpoint")
     p_train.set_defaults(func=cmd_train)
 
-    p_slice = sub.add_parser("slice", parents=[seeded, stream_flags],
+    p_slice = sub.add_parser("slice", parents=[common, jobs, seeded, stream_flags],
                              help="run a checkpoint over event files and emit decisions")
     p_slice.add_argument("--checkpoint", required=True)
     p_slice.add_argument("--events", nargs="+", required=True)
@@ -524,7 +522,7 @@ def build_parser():
                          help="write each slice representation as an .sslc tensor file")
     p_slice.set_defaults(func=cmd_slice)
 
-    p_report = sub.add_parser("report", parents=[seeded, stream_flags],
+    p_report = sub.add_parser("report", parents=[common, seeded, stream_flags],
                               help="density / energy / policy-comparison artifacts")
     p_report.add_argument("kind", choices=("density", "energy", "compare"))
     p_report.add_argument("--events", help="event file (density, energy)")

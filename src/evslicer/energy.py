@@ -111,21 +111,9 @@ def profile_network(net, cells):
     return stats
 
 
-def _billing(stats_list):
-    """Pair each LayerStats with its billing rule ("mac" | "ac")."""
-    first_conv = next((i for i, s in enumerate(stats_list) if s.kind == "conv"), None)
-    return [(s, "mac" if i == first_conv else "ac") for i, s in enumerate(stats_list)]
-
-
 def energy_joules(stats_list):
     """Total energy of one forward run under the two-rate billing rule."""
-    total = 0.0
-    for stats, rule in _billing(stats_list):
-        if rule == "mac":
-            total += E_MAC_JOULES * stats.flops
-        else:
-            total += E_AC_JOULES * synaptic_ops(stats)
-    return total
+    return energy_report(stats_list)["totals"]["joules"]
 
 
 def energy_report(stats_list):
@@ -134,7 +122,9 @@ def energy_report(stats_list):
     total_flops = 0
     total_sops = 0.0
     total_joules = 0.0
-    for stats, rule in _billing(stats_list):
+    first_conv = next((i for i, s in enumerate(stats_list) if s.kind == "conv"), None)
+    for i, stats in enumerate(stats_list):
+        rule = "mac" if i == first_conv else "ac"
         sops = synaptic_ops(stats)
         joules = E_MAC_JOULES * stats.flops if rule == "mac" else E_AC_JOULES * sops
         layers.append({

@@ -28,7 +28,13 @@ from .autodiff import SGD, Tensor
 from .events import EventStream, build_cells, render_cells
 from .losses import timing_loss, update_alpha
 from .schema import check_fields, declared
-from .slicer import decisions_from_cuts, fixed_duration_cuts, spike_cuts
+from .slicer import (
+    decisions_from_cuts,
+    fixed_count_cuts,
+    fixed_duration_cuts,
+    random_cuts,
+    spike_cuts,
+)
 from .snn import DEFAULT_ARCH, OVERFLOW_SILENT, SlicerNet, first_spike_index
 
 __all__ = [
@@ -518,8 +524,6 @@ def sliced_dataset(net, data, dt_us, policy, *, target_events=None, seed=0,
     Empty slices are kept (their tensors are all zeros) — a policy that
     produces them must live with them.
     """
-    from .slicer import fixed_count_cuts, random_cuts  # local: keeps module load light
-
     out = []
     per_stream = []
     for k, (stream, label) in enumerate(_with_labels(data)):

@@ -1,6 +1,6 @@
 """Tuned run configurations and synthetic-scenario builders.
 
-These are the presets the bundled scripts and the verification suite use:
+These are the presets the verification suite and the library quick start use:
 warm-up arena settings whose learning rates match each sequence length
 (sensitivity of the membrane at step n grows ~n^2, so longer sequences
 need proportionally smaller steps), density-oracle feedback settings on a
@@ -9,8 +9,18 @@ fixed-vs-adaptive comparison.
 """
 from __future__ import annotations
 
-from .events import Scenario
-from .feedback import ArenaConfig, FeedbackConfig
+import numpy as np
+
+from .events import Scenario, build_cells, synth_stream
+from .feedback import (
+    ArenaConfig,
+    DensityTargetOracle,
+    FeedbackConfig,
+    ToyClassifierOracle,
+    compare_policies,
+    train_feedback,
+)
+from .slicer import decisions_from_cuts, fixed_duration_cuts
 from .snn import SlicerNet
 
 # Single-linear-layer spiking head: flattened cell -> integrate-and-fire.
@@ -130,7 +140,6 @@ def two_class_streams(n_per_class, seed0=0, **scenario_overrides):
     (identical for both classes, wrap-free for either direction), so the
     only label information is what the motion itself causes: the drift of
     the bar and the leading/trailing polarity split."""
-    from .events import synth_stream
     data = []
     for i in range(n_per_class):
         for label, direction in ((0, 1), (1, -1)):
@@ -145,11 +154,6 @@ def pretrained_toy_classifier(data, dt_us=10000, seed=0, passes=5,
                               slices_per_stream=6):
     """Classifier oracle trained on fixed-duration slices of labelled
     streams — the neutral starting knowledge both cut policies build on."""
-    from .events import build_cells
-    from .feedback import ToyClassifierOracle
-    from .slicer import decisions_from_cuts, fixed_duration_cuts
-    import numpy as np
-
     batch = []
     for stream, label in data:
         cells = build_cells(stream, dt_us)
@@ -177,8 +181,6 @@ def comparison_run(seed, n_per_class=8, dt_us=10000, target_events=80,
     fresh, identically budgeted classifier per cut policy and score per-slice
     test accuracy. Returns the per-policy result rows.
     """
-    from .feedback import DensityTargetOracle, compare_policies, train_feedback
-
     train = two_class_streams(n_per_class, seed0=1000 * seed)
     test = two_class_streams(n_per_class, seed0=1000 * seed + 500)
     net = count_head_net(seed=seed)

@@ -401,18 +401,40 @@ class TestSlice:
         assert tensors["representation"].shape == (2, 8, 8)
 
     def test_multi_stream_jobs(self, tmp_path):
+        """One worker or two, each stream gets its own directory with the
+        same bytes, and the manifest keys the outputs by stem."""
         e1, _ = synth_csv(tmp_path, name="one.csv", seed=1)
         e2, _ = synth_csv(tmp_path, name="two.csv", seed=2)
         ckpt = micro_checkpoint(tmp_path, bias=5.0)
-        out = tmp_path / "multi"
+        for jobs in ("1", "2"):
+            rc = main(["slice", "--checkpoint", str(ckpt), "--events", str(e1), str(e2),
+                       "--dt-us", "10000", "--geometry", "8x8", "--jobs", jobs,
+                       "--out-dir", str(tmp_path / f"jobs{jobs}")])
+            assert rc == 0
+            manifest = json.loads((tmp_path / f"jobs{jobs}" / "manifest.json").read_text())
+            assert "decisions:one" in manifest["outputs"]
+        for stem in ("one", "two"):
+            for name in ("decisions.jsonl", "report.json"):
+                serial = (tmp_path / "jobs1" / stem / name).read_bytes()
+                assert serial
+                assert (tmp_path / "jobs2" / stem / name).read_bytes() == serial
+
+    def test_event_files_sharing_a_stem_exit_2_before_any_output(self, tmp_path, capsys):
+        """a/events.csv and b/events.csv would both write out/events/: the
+        run is refused with one error line naming both, and writes nothing."""
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        e1, _ = synth_csv(tmp_path / "a", seed=1)
+        e2, _ = synth_csv(tmp_path / "b", seed=2)
+        ckpt = micro_checkpoint(tmp_path, bias=5.0)
+        out = tmp_path / "out"
         rc = main(["slice", "--checkpoint", str(ckpt), "--events", str(e1), str(e2),
-                   "--dt-us", "10000", "--geometry", "8x8", "--jobs", "2",
-                   "--out-dir", str(out)])
-        assert rc == 0
-        assert (out / "one" / "decisions.jsonl").exists()
-        assert (out / "two" / "decisions.jsonl").exists()
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert "decisions:one" in manifest["outputs"]
+                   "--dt-us", "10000", "--geometry", "8x8", "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(e1) in err[0] and str(e2) in err[0]
+        assert not out.exists()
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         events, _ = synth_csv(tmp_path)
@@ -562,6 +584,18 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["synth", "--scenario", "s.json"],
+        ["cells", "--events", "e.csv", "--dt-us", "1000"],
+        ["train", "arena-i"],
+        ["report", "density", "--events", "e.csv"],
+    ], ids=lambda c: c[0])
+    def test_jobs_is_a_slice_flag_only(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--out-dir", str(tmp_path), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_bad_geometry_exits_2(self, tmp_path):
         events, _ = synth_csv(tmp_path)
