@@ -48,7 +48,7 @@ from .feedback import (
     train_arena,
     train_feedback,
 )
-from .schema import from_json
+from .schema import INT64, from_json
 from .slicer import decision_record, slice_report, slice_stream
 from .snn import SlicerNet
 
@@ -105,6 +105,14 @@ def build_dataclass(cls, file_cfg, args, **flags):
     given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)} | flags
     return from_json(cls, file_cfg | {k: v for k, v in given.items() if v is not None},
                      ConfigError, cls.__name__)
+
+
+def int64(text):
+    """Type of every integer flag: as the config fields, a signed 64-bit int."""
+    value = int(text)
+    if value not in INT64:
+        raise argparse.ArgumentTypeError(f"{text} does not fit in a signed 64-bit integer")
+    return value
 
 
 def _read_stream(path, geometry=None, t0=None, span_us=None):
@@ -435,16 +443,16 @@ def build_parser():
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--out-dir", default=".", help="artifact directory")
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=1,
+    jobs.add_argument("--jobs", type=int64, default=1,
                       help="workers for commands over multiple independent streams")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="run seed")
+    seeded.add_argument("--seed", type=int64, default=0, help="run seed")
 
     stream_flags = argparse.ArgumentParser(add_help=False)
     stream_flags.add_argument("--geometry", help="WxH, required for CSV event inputs")
-    stream_flags.add_argument("--t0-us", type=int, dest="t0_us",
+    stream_flags.add_argument("--t0-us", type=int64, dest="t0_us",
                               help="window start override for metadata-less files")
-    stream_flags.add_argument("--span-us", type=int, dest="span_us",
+    stream_flags.add_argument("--span-us", type=int64, dest="span_us",
                               help="window length override for metadata-less files")
 
     parser = argparse.ArgumentParser(
@@ -463,8 +471,8 @@ def build_parser():
     p_cells = sub.add_parser("cells", parents=[common, seeded, stream_flags],
                              help="bin an event file into fixed-duration cell grids")
     p_cells.add_argument("--events", required=True)
-    p_cells.add_argument("--dt-us", type=int, required=True)
-    p_cells.add_argument("--n-cells", type=int)
+    p_cells.add_argument("--dt-us", type=int64, required=True)
+    p_cells.add_argument("--n-cells", type=int64)
     p_cells.add_argument("--out", help="output file name (default cells.npz)")
     p_cells.set_defaults(func=cmd_cells)
 
@@ -472,35 +480,35 @@ def build_parser():
                              help="warm-up arena or oracle-feedback training")
     p_train.add_argument("task", choices=("arena-i", "arena-ii", "feedback"))
     # no default here: a seed from --config applies unless the flag is given
-    p_train.add_argument("--seed", type=int, help="run seed (default 0)")
+    p_train.add_argument("--seed", type=int64, help="run seed (default 0)")
     p_train.add_argument("--arch", help="architecture string")
     p_train.add_argument("--hw", help="input geometry WxH (arena tasks)")
-    p_train.add_argument("--n-steps", type=int, dest="n_steps")
-    p_train.add_argument("--max-iters", type=int, dest="max_iters")
-    p_train.add_argument("--streak", type=int)
+    p_train.add_argument("--n-steps", type=int64, dest="n_steps")
+    p_train.add_argument("--max-iters", type=int64, dest="max_iters")
+    p_train.add_argument("--streak", type=int64)
     p_train.add_argument("--lr", type=float)
     p_train.add_argument("--lr-schedule", choices=("cosine", "constant"), dest="lr_schedule")
     p_train.add_argument("--alpha0", type=float)
     p_train.add_argument("--eta", type=float)
     p_train.add_argument("--noise-prob", type=float, dest="noise_prob")
     p_train.add_argument("--cell-rate", type=float, dest="cell_rate")
-    p_train.add_argument("--target", type=int)
-    p_train.add_argument("--hidden-units", type=int, dest="hidden_units")
+    p_train.add_argument("--target", type=int64)
+    p_train.add_argument("--hidden-units", type=int64, dest="hidden_units")
     p_train.add_argument("--input-scale", type=float, dest="input_scale")
     p_train.add_argument("--events", nargs="+",
                          help="feedback: event files, or path:label pairs for --oracle classifier")
     p_train.add_argument("--oracle", choices=("density", "classifier"), default="density")
-    p_train.add_argument("--target-events", type=int, dest="target_events")
-    p_train.add_argument("--dt-us", type=int, dest="dt_us")
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--samples-per-epoch", type=int, dest="samples_per_epoch")
-    p_train.add_argument("--window", type=int)
-    p_train.add_argument("-d", "--neighborhood", type=int, dest="d",
+    p_train.add_argument("--target-events", type=int64, dest="target_events")
+    p_train.add_argument("--dt-us", type=int64, dest="dt_us")
+    p_train.add_argument("--epochs", type=int64)
+    p_train.add_argument("--samples-per-epoch", type=int64, dest="samples_per_epoch")
+    p_train.add_argument("--window", type=int64)
+    p_train.add_argument("-d", "--neighborhood", type=int64, dest="d",
                          help="neighborhood search radius")
     p_train.add_argument("--repr", choices=("frame", "voxel", "time_surface"),
                          dest="repr_kind")
-    p_train.add_argument("--n-bins", type=int, dest="n_bins")
-    p_train.add_argument("--finetune-start", type=int, dest="finetune_start")
+    p_train.add_argument("--n-bins", type=int64, dest="n_bins")
+    p_train.add_argument("--finetune-start", type=int64, dest="finetune_start")
     p_train.add_argument("--init-checkpoint", dest="init_checkpoint",
                          help="start feedback training from this checkpoint")
     p_train.set_defaults(func=cmd_train)
@@ -509,11 +517,11 @@ def build_parser():
                              help="run a checkpoint over event files and emit decisions")
     p_slice.add_argument("--checkpoint", required=True)
     p_slice.add_argument("--events", nargs="+", required=True)
-    p_slice.add_argument("--dt-us", type=int, required=True)
+    p_slice.add_argument("--dt-us", type=int64, required=True)
     p_slice.add_argument("--repr", choices=("frame", "voxel", "time_surface"),
                          default="frame", dest="repr_kind")
-    p_slice.add_argument("--n-bins", type=int, default=5, dest="n_bins")
-    p_slice.add_argument("--tau-us", type=int, dest="tau_us")
+    p_slice.add_argument("--n-bins", type=int64, default=5, dest="n_bins")
+    p_slice.add_argument("--tau-us", type=int64, dest="tau_us")
     p_slice.add_argument("--no-flush-tail", action="store_true",
                          help="drop the trailing cells after the last spike")
     p_slice.add_argument("--reset-per-slice", action="store_true",
@@ -527,20 +535,20 @@ def build_parser():
     p_report.add_argument("kind", choices=("density", "energy", "compare"))
     p_report.add_argument("--events", help="event file (density, energy)")
     p_report.add_argument("--checkpoint", help="checkpoint (energy, compare)")
-    p_report.add_argument("--dt-us", type=int, default=10000, dest="dt_us")
+    p_report.add_argument("--dt-us", type=int64, default=10000, dest="dt_us")
     p_report.add_argument("--fmt", choices=("json", "csv"), default="json")
     p_report.add_argument("--train", nargs="+", help="compare: path:label list")
     p_report.add_argument("--test", nargs="+", help="compare: path:label list")
     p_report.add_argument("--policies",
                           default="adaptive,fixed-duration,fixed-count,random")
-    p_report.add_argument("--target-events", type=int, default=100,
+    p_report.add_argument("--target-events", type=int64, default=100,
                           dest="target_events")
     p_report.add_argument("--repr", choices=("frame", "voxel", "time_surface"),
                           default="frame", dest="repr_kind")
-    p_report.add_argument("--clf-hidden", type=int, default=16)
+    p_report.add_argument("--clf-hidden", type=int64, default=16)
     p_report.add_argument("--clf-lr", type=float, default=0.05)
-    p_report.add_argument("--clf-passes", type=int, default=3)
-    p_report.add_argument("--clf-seed", type=int, default=0)
+    p_report.add_argument("--clf-passes", type=int64, default=3)
+    p_report.add_argument("--clf-seed", type=int64, default=0)
     p_report.set_defaults(func=cmd_report)
     return parser
 

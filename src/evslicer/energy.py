@@ -97,13 +97,14 @@ def profile_network(net, cells):
     net.reset_state()
     stats = []
     for pos, (i, layer) in enumerate(billed):
-        in_shape, out_shape = net.layer_shapes[i]
         if isinstance(layer, ConvLayer):
             cout, cin, kh, kw = layer.weight.data.shape
-            flops = conv_flops(cin, cout, kh, out_shape[1], out_shape[2])
+            _, oh, ow = net.layer_shapes[i][1]
+            flops = conv_flops(cin, cout, kh, oh, ow)
             kind = "conv"
         else:
-            flops = fc_flops(in_shape[0], out_shape[0])
+            out_features, in_features = layer.weight.data.shape
+            flops = fc_flops(in_features, out_features)
             kind = "fc"
         fr = 1.0 if pos == 0 else sums[i] / t_steps
         stats.append(LayerStats(name=layer.name, kind=kind, flops=flops,

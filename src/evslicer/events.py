@@ -245,6 +245,8 @@ def render(group, kind="frame", n_bins=2, tau_us=None):
     elif kind == "time_surface":
         if tau_us is None:
             tau_us = max(group.t_end_us - group.t_start_us, 1) * 4.0
+        elif not tau_us > 0:
+            raise ValueError(f"time_surface needs tau_us > 0, got {tau_us}")
         tensor = np.zeros((2, h, w), dtype=np.float64)
         last = np.full((2, h, w), -1.0)
         # events are time-sorted, so plain assignment keeps the latest stamp

@@ -20,7 +20,7 @@ import typing
 _NOUNS = {int: "an integer", float: "a number", str: "a string", int | None: "an integer or null",
           tuple[int, int]: "a list of 2 integers",
           list[tuple[float, float, float]]: "a list of 3-number lists"}
-_INT64 = range(-2 ** 63, 2 ** 63)
+INT64 = range(-2 ** 63, 2 ** 63)
 
 
 def declared(default=dataclasses.MISSING, within=None, *, choices=None, about=None):
@@ -74,7 +74,7 @@ def check_fields(obj):
         items = value if isinstance(value, (tuple, list)) else (value,)
         if within is not None and value is not None and not all(_inside(v, within) for v in items):
             raise ValueError(f"{name} must lie in {within}, got {value!r}")
-        if int in (kind, *typing.get_args(kind)) and any(v not in _INT64 for v in items
+        if int in (kind, *typing.get_args(kind)) and any(v not in INT64 for v in items
                                                          if v is not None):
             raise ValueError(f"{name} must fit in a signed 64-bit integer, got {value!r}")
 

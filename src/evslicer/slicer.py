@@ -121,11 +121,6 @@ def slice_stream(net, stream, dt_us, repr_kind="frame", *, flush_tail=True,
                  reset_per_slice=False, n_bins=5, tau_us=None, with_repr=True):
     """Slice a stream adaptively: tile into dt_us cells, cut at output
     spikes, render each group. Returns the list of SliceDecisions."""
-    if (stream.height, stream.width) != tuple(net.in_hw):
-        raise ValueError(
-            f"stream geometry {stream.height}x{stream.width} does not match "
-            f"network input {net.in_hw[0]}x{net.in_hw[1]}"
-        )
     cells = build_cells(stream, dt_us)
     cuts = spike_cuts(net, cells, reset_per_slice=reset_per_slice)
     return decisions_from_cuts(stream, cells, cuts, repr_kind,

@@ -36,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,13 +249,18 @@ def parse_architecture(arch):
     Grammar tokens (sizes from 1): {i}C{j} (conv, i filters of size j), GN (group norm),
     IF / LIF (spiking activation; dynamics come from the neuron config),
     AvgP{k} / AdaP{k} (mean pooling, fixed or adaptive), LN (linear).
-    The string must end with a spiking token — the output neuron.
+    Spatial tokens come first: only LN, IF and LIF may follow the first LN,
+    which flattens each cell. The string must end with a spiking token, the
+    output neuron. Layer sizes are left to the net (`SlicerNet._build`).
     """
     tokens = []
     for raw in arch.split("-"):
         m = _TOKEN_RE.match(raw)
         if not m:
             raise ValueError(f"bad architecture token {raw!r} in {arch!r}")
+        if raw not in ("LN", "IF", "LIF") and {"kind": "linear"} in tokens:
+            raise ValueError(f"{raw!r} after LN in {arch!r}: only LN, IF and LIF may follow "
+                             f"the first LN")
         if m.group("out"):
             tokens.append({"kind": "conv", "out": int(m.group("out")), "k": int(m.group("k"))})
         elif raw in ("IF", "LIF"):
@@ -311,66 +317,46 @@ class SlicerNet:
 
     def _build(self, spec, rng):
         """Lay out the layers of `spec`, their weights drawn from rng (zeros
-        for rng None), and start at rest."""
+        for rng None), and start at rest. One zero cell walks through each
+        layer as it is built: its shape there sizes the layer and is what
+        `layer_shapes` records, and it must end as one feature."""
         self.spec = spec
         vars(self).update(vars(spec))     # its fields are the net's attributes
         tokens = parse_architecture(self.arch)
         linear_total = sum(1 for t in tokens if t["kind"] == "linear")
         self.layers = []
-        self.layer_shapes = []   # (in_shape, out_shape) per layer, CHW / features
-        ch, (h, w) = self.in_channels, self.in_hw
-        flat = None
-        conv_i = gn_i = lin_i = spike_i = 0
-        for tok in tokens[:-1]:
-            kind = tok["kind"]
-            if kind == "conv":
-                if flat is not None:
-                    raise ValueError("conv after linear is not supported")
-                layer = ConvLayer(f"conv{conv_i}", ch, tok["out"], tok["k"], rng, self.init_gain)
-                self.layer_shapes.append(((ch, h, w), (tok["out"], h, w)))
-                ch = tok["out"]
-                conv_i += 1
-            elif kind == "gn":
-                groups = self.gn_groups if ch % self.gn_groups == 0 else ch
-                layer = GroupNormLayer(f"gn{gn_i}", ch, groups)
-                self.layer_shapes.append(((ch, h, w), (ch, h, w)))
-                gn_i += 1
-            elif kind == "spike":
-                layer = SpikeLayer(f"spk{spike_i}", self.neuron)
-                shape = (flat,) if flat is not None else (ch, h, w)
-                self.layer_shapes.append((shape, shape))
-                spike_i += 1
-            elif kind == "pool":
-                k = tok["k"]
-                nh, nw = -(-h // k), -(-w // k)
-                layer = PoolLayer(k)
-                self.layer_shapes.append(((ch, h, w), (ch, nh, nw)))
-                h, w = nh, nw
-            elif kind == "adapool":
-                k = tok["k"]
-                nh, nw = max(1, -(-h // k)), max(1, -(-w // k))
-                layer = AdaptivePoolLayer(k)
-                self.layer_shapes.append(((ch, h, w), (ch, nh, nw)))
-                h, w = nh, nw
-            else:   # linear
-                in_features = flat if flat is not None else ch * h * w
-                out_features = 1 if lin_i + 1 == linear_total else self.hidden_units
-                layer = LinearLayer(f"fc{lin_i}", in_features, out_features, rng, self.init_gain)
-                self.layer_shapes.append(((in_features,), (out_features,)))
-                flat = out_features
-                lin_i += 1
-            self.layers.append(layer)
-        final = flat if flat is not None else ch * h * w
-        if final != 1:
-            raise ValueError(
-                f"architecture must funnel to one output feature before the "
-                f"output neuron, got {final} ({self.arch!r} on {self.in_hw})"
-            )
-        # drawn in float64 whatever the dtype, so both widths start from the
-        # same values
-        with np.errstate(**OVERFLOW_SILENT):
-            for p in self.parameters():
-                p.data = p.data.astype(self.dtype, copy=False)
+        self.layer_shapes = []   # (input, output) shape of one cell, per layer
+        made = Counter()
+        x = Tensor(np.zeros((1, self.in_channels, *self.in_hw), dtype=self.dtype))
+        with ad.no_grad(), np.errstate(**OVERFLOW_SILENT):
+            for tok in tokens[:-1]:
+                kind, ch, i = tok["kind"], x.shape[1], made[tok["kind"]]
+                if kind == "conv":
+                    layer = ConvLayer(f"conv{i}", ch, tok["out"], tok["k"], rng, self.init_gain)
+                elif kind == "gn":
+                    groups = self.gn_groups if ch % self.gn_groups == 0 else ch
+                    layer = GroupNormLayer(f"gn{i}", ch, groups)
+                elif kind == "spike":
+                    layer = SpikeLayer(f"spk{i}", self.neuron)
+                elif kind == "pool":
+                    layer = PoolLayer(tok["k"])
+                elif kind == "adapool":
+                    layer = AdaptivePoolLayer(tok["k"])
+                else:   # linear
+                    out_features = 1 if i + 1 == linear_total else self.hidden_units
+                    layer = LinearLayer(f"fc{i}", x.size, out_features, rng, self.init_gain)
+                made[kind] += 1
+                # drawn in float64 whatever the dtype, so both widths start
+                # from the same values
+                for p in layer.params().values():
+                    p.data = p.data.astype(self.dtype, copy=False)
+                self.layers.append(layer)
+                y = layer(x)
+                self.layer_shapes.append((x.shape[1:], y.shape[1:]))
+                x = y
+        if x.size != 1:
+            raise ValueError(f"architecture must funnel to one output feature before the output "
+                             f"neuron, got {x.size} ({self.arch!r} on {self.in_hw})")
         self.reset_state()
 
     # -- parameters ----------------------------------------------------------
@@ -407,7 +393,12 @@ class SlicerNet:
         output neuron, in the net's dtype; returns the (N,) float64 node of
         the output currents. The spatial stack (the layers before the first
         linear one) runs CHUNK cells at a time; the flat tail runs once, on
-        all N rows. probe(i, x), if given, sees the input x of layer i."""
+        all N rows. probe(i, x), if given, sees the input x of layer i.
+        Cells of another (C, H, W) than the net's input raise ShapeError."""
+        want = (self.in_channels, *self.in_hw)
+        if grids.shape[1:] != want:
+            raise ShapeError(f"cell geometry (C, H, W) {grids.shape[1:]} does not match "
+                             f"the network input {want}")
         if not len(grids):
             return Tensor(np.zeros(0))
 
@@ -426,8 +417,6 @@ class SlicerNet:
             cells = np.multiply(grids[start:start + step], self.input_scale, dtype=self.dtype)
             blocks.append(walk(Tensor(cells), 0, tail))
         x = walk(ad.concat(blocks), tail, len(self.layers))
-        if x.size != x.shape[0]:
-            raise ShapeError(f"output current must be one value per cell, got shape {x.shape[1:]}")
         return ad.cast(x.reshape(-1), np.float64)
 
     def forward(self, cells, relaxed=False, keep_state=False):

@@ -356,6 +356,25 @@ class TestTrain:
         assert main(["train", "feedback", "--out-dir", str(tmp_path)]) == 2
 
 
+    def test_even_kernel_conv_trains(self, tmp_path):
+        """A 2x2 conv grows an 8x8 map to 9x9, and fc0 is sized from it."""
+        out = tmp_path / "out"
+        rc = main(["train", "arena-i", "--arch", "4C2-LN-IF", "--hw", "8x8", "--n-steps", "6",
+                   "--max-iters", "2", "--out-dir", str(out)])
+        assert rc == 0
+        assert load_named_tensors(out / "checkpoint.sslc")["fc0.weight"].shape == (1, 4 * 9 * 9)
+
+    @pytest.mark.parametrize("arch", ["LN-AdaP2-LN-IF", "4C3-LN-GN-LN-IF"])
+    def test_spatial_layer_after_linear_exits_2(self, tmp_path, capsys, arch):
+        out = tmp_path / "out"
+        rc = main(["train", "arena-i", "--arch", arch, "--hw", "8x8", "--n-steps", "6",
+                   "--max-iters", "2", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "after LN" in err
+        assert not (out / "checkpoint.sslc").exists()
+
+
 class TestSlice:
     def test_always_spike_checkpoint_single_cell_slices(self, tmp_path):
         events, stream = synth_csv(tmp_path)
@@ -399,6 +418,19 @@ class TestSlice:
         assert all(d["repr_path"] for d in decisions)
         tensors = load_named_tensors(decisions[0]["repr_path"])
         assert tensors["representation"].shape == (2, 8, 8)
+
+    @pytest.mark.parametrize("tau", ["0", "-5"])
+    def test_non_positive_tau_exits_2_with_one_line(self, tmp_path, capsys, tau):
+        events, _ = synth_csv(tmp_path)
+        ckpt = micro_checkpoint(tmp_path, bias=5.0)
+        out = tmp_path / "run"
+        rc = main(["slice", "--checkpoint", str(ckpt), "--events", str(events),
+                   "--dt-us", "20000", "--geometry", "8x8", "--repr", "time_surface",
+                   "--dump-reprs", "--tau-us", tau, "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: time_surface needs tau_us > 0, got {tau}\n"
+        assert not (out / "reprs").exists()
 
     def test_multi_stream_jobs(self, tmp_path):
         """One worker or two, each stream gets its own directory with the
@@ -543,6 +575,17 @@ class TestReport:
         assert report["totals"]["joules"] == expected["totals"]["joules"]
         assert report["constants"]["e_mac_joules"] == 4.6e-12
 
+    def test_energy_on_another_geometry_names_both(self, tmp_path, capsys):
+        events, _ = synth_csv(tmp_path)
+        ckpt = tmp_path / "wide.sslc"
+        SlicerNet(in_hw=(16, 16)).save(ckpt)
+        rc = main(["report", "energy", "--checkpoint", str(ckpt), "--events", str(events),
+                   "--geometry", "8x8", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: cell geometry (C, H, W) (2, 8, 8) does not "
+                                           "match the network input (2, 16, 16)\n")
+        assert not (tmp_path / "energy.json").exists()
+
     def test_compare_rows(self, tmp_path):
         paths = []
         for i in range(4):
@@ -596,6 +639,21 @@ class TestParser:
             main(command + ["--out-dir", str(tmp_path), "--jobs", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["cells", "--dt-us", str(2 ** 70), "--n-cells", "5"],
+        ["cells", "--dt-us", "1000", "--n-cells", str(2 ** 70)],
+        ["cells", "--dt-us", "1000", "--span-us", str(2 ** 70)],
+        ["report", "density", "--dt-us", str(2 ** 70)],
+    ], ids=["cells-dt", "cells-n", "cells-span", "density-dt"])
+    def test_integer_flag_beyond_int64_exits_2(self, tmp_path, capsys, flags):
+        events, _ = synth_csv(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*flags, "--events", str(events), "--geometry", "8x8",
+                  "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"{2 ** 70} does not fit in a signed 64-bit integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_geometry_exits_2(self, tmp_path):
         events, _ = synth_csv(tmp_path)

@@ -24,9 +24,8 @@ from evslicer.snn import SlicerNet, SpikeRecord
 class ScriptedNet:
     """Stand-in net that spikes at fixed absolute steps (continuous mode)."""
 
-    def __init__(self, spike_steps, in_hw=(8, 8)):
+    def __init__(self, spike_steps):
         self.spike_steps = set(spike_steps)
-        self.in_hw = tuple(in_hw)
 
     def forward(self, grids, relaxed=False, keep_state=False):
         n = grids.shape[0]
@@ -102,8 +101,9 @@ class TestPartition:
 
     def test_geometry_mismatch(self):
         stream = make_stream(8, hw=(8, 8))
-        net = ScriptedNet([3], in_hw=(16, 16))
-        with pytest.raises(ValueError, match="geometry"):
+        net = count_net(in_hw=(16, 16))
+        with pytest.raises(ValueError, match=r"geometry \(C, H, W\) \(2, 8, 8\) does not match "
+                                             r"the network input \(2, 16, 16\)"):
             slice_stream(net, stream, 100)
 
     @given(

@@ -111,6 +111,13 @@ def test_parse_rejects_bad_tokens_and_missing_head():
         parse_architecture("16C3-GN-IF-LN")
 
 
+@pytest.mark.parametrize("arch", ["4C3-LN-GN-LN-IF", "LN-AvgP2-LN-IF", "LN-AdaP2-LN-IF",
+                                  "4C3-LN-IF-4C3-LN-IF"])
+def test_parse_rejects_spatial_tokens_after_linear(arch):
+    with pytest.raises(ValueError, match="only LN, IF and LIF may follow the first LN"):
+        parse_architecture(arch)
+
+
 def test_reference_parameter_counts_scale_with_input_size():
     # conv stack: 304 + 32 + 4640 + 64 + 18496 + 128 = 23664 params;
     # the linear head scales with the flattened feature size
@@ -125,6 +132,47 @@ def test_reference_parameter_counts_scale_with_input_size():
 def test_architecture_must_funnel_to_single_output():
     with pytest.raises(ValueError, match="one output feature"):
         SlicerNet("16C3-IF", in_hw=(8, 8))
+
+
+@pytest.mark.parametrize("arch, hw, features", [
+    ("4C2-LN-IF", (8, 8), 4 * 9 * 9),              # k//2 padding: an even kernel grows the map
+    ("3C4-AvgP3-LN-IF", (5, 7), 3 * 2 * 3),         # 6x8 after the conv, ceil-pooled by 3
+    ("2C1-AdaP3-LN-IF", (7, 2), 2 * 3 * 1),         # ceil(7/3) x max(1, ceil(2/3))
+])
+def test_linear_layer_is_sized_from_the_walked_cell(arch, hw, features):
+    net = SlicerNet(arch, in_hw=hw)
+    assert net.named_parameters()["fc0.weight"].shape == (1, features)
+    assert len(net.forward(random_cells(0, 3, hw=hw))) == 3
+
+
+def _token():
+    sized = st.integers(1, 3)
+    return st.one_of(st.builds("{}C{}".format, st.integers(1, 4), st.integers(1, 4)),
+                     st.sampled_from(["GN", "IF", "LIF", "LN"]),
+                     st.builds("AvgP{}".format, sized), st.builds("AdaP{}".format, sized))
+
+
+@given(tokens=st.lists(_token(), max_size=6),
+       tail=st.sampled_from([[], ["IF"], ["LN", "IF"], ["LN", "LIF", "LN", "IF"]]),
+       hw=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+       dtype=st.sampled_from(["float32", "float64"]))
+@settings(max_examples=200, deadline=None)
+def test_every_accepted_architecture_runs(tokens, tail, hw, dtype):
+    """A string the net accepts forwards, and each layer's recorded input
+    shape is the one the forward hands it. A string it refuses is refused
+    by the grammar or the funnel rule, not by an op's shape check."""
+    arch = "-".join(tokens + tail)
+    try:
+        net = SlicerNet(arch, in_hw=hw, hidden_units=3, gn_groups=2, dtype=dtype,
+                        neuron=NeuronConfig(beta=0.9))
+    except ValueError as exc:
+        assert not isinstance(exc, ad.ShapeError), exc
+        return
+    cells = random_cells(0, 3, hw=hw)
+    seen = {}
+    net.body(cells, lambda i, x: seen.setdefault(i, x.shape[1:]))
+    assert [shapes[0] for shapes in net.layer_shapes] == [seen[i] for i in range(len(net.layers))]
+    assert len(net.forward(cells)) == 3
 
 
 def test_lif_token_accepted():
