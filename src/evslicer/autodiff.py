@@ -721,6 +721,14 @@ def _fire(v, v_th, window, relaxed):
     return (v >= v_th).astype(v.dtype)
 
 
+def _fire_float(v, v_th, window, relaxed):
+    """_fire of one Python float, with np.clip's comparisons (NaN stays NaN)."""
+    if relaxed:
+        x = (v - v_th) / (2.0 * window) + 0.5
+        return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+    return 1.0 if v >= v_th else 0.0
+
+
 def _surrogate(v, v_th, window):
     """The spike's backward derivative: 1/(2*window) where |v - v_th| <= window,
     in v's dtype."""
@@ -770,18 +778,32 @@ def neuron_scan(current, v0, neuron, reset=True, relaxed=False):
     (without reset, dV[t] = dV_out[t] + dC[t]), dC[t-1] = beta*dV[t],
     dI[t] = gamma*dV[t] and dv0 = beta*dV[0], where dC of the last step is
     the gradient that reached v_end.
+
+    Both time loops, forward and reverse, run on one of two kinds of step,
+    chosen by the shape of one step. A step of a 1-D float64 drive (the
+    output neuron's) is one number, for which a NumPy op costs far more than
+    its arithmetic: those loops run on Python floats, the same IEEE doubles
+    in the same order, so they give the same bytes. Every other step is an
+    array row.
     """
     beta, gamma, v_reset = neuron.beta, neuron.gamma, neuron.v_reset
     v_th, window = neuron.v_th, neuron.surrogate_window
     drive = current.data if gamma == 1.0 else gamma * current.data
-    potentials = np.empty_like(drive)
-    spikes = np.empty_like(drive) if reset else None
-    top = np.finfo(drive.dtype).max
     v = v_reset if v0 is None else v0.data
-    for t in range(drive.shape[0]):
-        v = potentials[t] = (v if beta == 1.0 else beta * v) + drive[t]
+    top = np.finfo(drive.dtype).max
+    floats = drive.ndim == 1 and drive.dtype == np.float64
+    if floats:
+        steps, v, top, fire, cap = drive.tolist(), float(v), float(top), _fire_float, min
+        potentials = [0.0] * len(steps)
+        spikes = [0.0] * len(steps) if reset else None
+    else:
+        steps, fire, cap = drive, _fire, np.minimum
+        potentials = np.empty_like(drive)
+        spikes = np.empty_like(drive) if reset else None
+    for t in range(len(steps)):
+        v = potentials[t] = (v if beta == 1.0 else beta * v) + steps[t]
         if reset:
-            s = spikes[t] = _fire(v, v_th, window, relaxed)
+            s = spikes[t] = fire(v, v_th, window, relaxed)
             if relaxed:
                 v = v * (1.0 - s) + v_reset * s
             else:
@@ -789,9 +811,12 @@ def neuron_scan(current, v0, neuron, reset=True, relaxed=False):
                 # np.where(s > 0, v_reset, v) without its slow masked loop.
                 # Clipping to the largest finite value lets +inf reset to
                 # v_reset instead of becoming inf * 0 = NaN.
-                v = np.minimum(v, top) * (1.0 - s)
+                v = cap(v, top) * (1.0 - s)
                 if v_reset != 0.0:
                     v += v_reset * s
+    if floats:
+        potentials = np.array(potentials)
+        spikes = np.array(spikes) if reset else None
     inputs = (current,) if v0 is None else (current, v0)
     out = _node(spikes if reset else potentials, inputs)
     v_end = _node(np.array(v, dtype=drive.dtype), (out,))
@@ -813,10 +838,16 @@ def neuron_scan(current, v0, neuron, reset=True, relaxed=False):
         else:
             dv = np.array(g)
         dc = carry[0]
-        for t in range(g.shape[0] - 1, -1, -1):
+        if floats:
+            dv, dc = dv.tolist(), None if dc is None else float(dc)
+            if reset:
+                through_reset = through_reset.tolist()
+        for t in range(len(dv) - 1, -1, -1):
             if dc is not None:
                 dv[t] += dc * through_reset[t] if reset else dc
             dc = dv[t] if beta == 1.0 else beta * dv[t]
+        if floats:
+            dv, dc = np.array(dv), None if dc is None else np.float64(dc)
         if current.requires_grad:
             _accum(current, dv if gamma == 1.0 else gamma * dv)
         if v0 is not None and v0.requires_grad:

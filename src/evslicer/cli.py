@@ -130,9 +130,11 @@ def _read_stream(path, geometry=None, t0=None, span_us=None):
 def _parse_geometry(text):
     try:
         w, h = text.lower().split("x")
-        return int(w), int(h)
+        return int64(w), int64(h)
     except ValueError as exc:
         raise ConfigError(f"bad geometry {text!r}, expected WxH") from exc
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"bad geometry {text!r}: {exc}") from None
 
 
 def _parse_labelled(specs, geometry, t0=None, span_us=None):

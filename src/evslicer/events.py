@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schema import check_fields, declared, from_json
+from .schema import INT64, check_fields, declared, from_json
 
 EVENT_MAGIC = b"SSEV"
 EVENT_VERSION = 1
@@ -164,6 +164,9 @@ def build_cells(stream, dt_us, n_cells=None):
             f"stream span {stream.span_us}us shorter than one {dt_us}us cell"
         )
     h, w = stream.height, stream.width
+    if n * 2 * h * w not in INT64:      # bincount's flat index and length are int64
+        raise ValueError(f"{n} cells of 2x{h}x{w} counts ({n * 2 * h * w} entries) "
+                         f"exceed a signed 64-bit index")
     # the events kept are the time-sorted prefix before the end of cell n-1
     m = int(_first_at_or_after(stream.t, (stream.t0 + n * dt_us,))[0])
     # one count per (cell, polarity, y, x); channel 0 = +1, channel 1 = -1.
@@ -269,15 +272,39 @@ def render_cells(stream, cells, first, last, kind="frame", n_bins=5, tau_us=None
     Voxels and time surfaces need event times and are rendered from the
     group's events; tau_us defaults to 4 cells.
     """
-    t_start, _ = cells.interval(first)
-    _, t_end = cells.interval(last)
     if kind == "frame":
-        frame = cells.grids[first:last + 1].sum(axis=0)
-        return Representation(kind=kind, tensor=frame, t_start_us=t_start,
-                              t_end_us=t_end, n_events=int(frame.sum()))
+        return _frame(cells, first, last, cells.grids[first:last + 1].sum(axis=0))
     if tau_us is None and kind == "time_surface":
         tau_us = 4.0 * cells.dt_us
+    t_start, _ = cells.interval(first)
+    _, t_end = cells.interval(last)
     return render(event_group(stream, t_start, t_end), kind, n_bins=n_bins, tau_us=tau_us)
+
+
+def render_cell_runs(stream, cells, first, lo, hi, kind="frame", n_bins=5, tau_us=None):
+    """Yield render_cells(stream, cells, first, last, ...) for last = lo..hi
+    in turn: the groups that share the left edge `first`.
+
+    Each frame is the one before it plus the grid of its last cell, in a new
+    array, so every representation owns its tensor. The counts are integers,
+    exact in float64, so the running sum has the bytes of the whole one.
+    """
+    if kind != "frame":
+        for last in range(lo, hi + 1):
+            yield render_cells(stream, cells, first, last, kind, n_bins=n_bins, tau_us=tau_us)
+        return
+    frame = cells.grids[first:lo].sum(axis=0)
+    for last in range(lo, hi + 1):
+        frame = frame + cells.grids[last]
+        yield _frame(cells, first, last, frame)
+
+
+def _frame(cells, first, last, frame):
+    """The frame representation of cells first..last, whose grid sum is frame."""
+    t_start, _ = cells.interval(first)
+    _, t_end = cells.interval(last)
+    return Representation(kind="frame", tensor=frame, t_start_us=t_start,
+                          t_end_us=t_end, n_events=int(frame.sum()))
 
 
 def event_density(stream, t_us, dt_us):
@@ -317,11 +344,17 @@ def parse_events_csv(data, width, height, t0=None, span_us=None):
     columns = _csv_columns_fast(text)
     if columns is None:
         columns = _csv_columns_scan(text)
-    kwargs = {}
-    if t0 is not None:
-        kwargs = {"t0": int(t0), "span_us": int(span_us)}
     t, x, y, p = columns
-    return EventStream(width=width, height=height, t=t, x=x, y=y, p=p, **kwargs)
+    return EventStream(width=width, height=height, t=t, x=x, y=y, p=p, **_window(t0, span_us))
+
+
+def _window(t0, span_us):
+    """EventStream's window arguments for an override of both t0 and
+    span_us, or of neither (the events' own extent)."""
+    if (t0 is None) != (span_us is None):
+        raise EventFormatError(f"the window start t0 and length span_us go together, "
+                               f"got t0={t0} and span_us={span_us}")
+    return {} if t0 is None else {"t0": int(t0), "span_us": int(span_us)}
 
 
 # What a row of the fast path may hold. Other text goes to the scanner:
@@ -416,10 +449,7 @@ def parse_events_binary(data, t0=None, span_us=None):
     xs = records["x"].astype(np.uint16)
     ys = records["y"].astype(np.uint16)
     ps = records["p"].astype(np.int8)
-    kwargs = {}
-    if t0 is not None:
-        kwargs = {"t0": int(t0), "span_us": int(span_us)}
-    return EventStream(width=width, height=height, t=ts, x=xs, y=ys, p=ps, **kwargs)
+    return EventStream(width=width, height=height, t=ts, x=xs, y=ys, p=ps, **_window(t0, span_us))
 
 
 def parse_events(data, fmt, width=None, height=None, t0=None, span_us=None):

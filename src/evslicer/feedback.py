@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SGD, Tensor
-from .events import EventStream, build_cells, render_cells
+from .events import EventStream, build_cells, render_cell_runs
 from .losses import timing_loss, update_alpha
 from .schema import check_fields, declared
 from .slicer import (
@@ -224,6 +224,9 @@ def neighborhood_search(stream, cells, n_p, n_c, d, oracle, *, repr_kind="frame"
     (n_p, limit] (limit defaults to the last cell), so fewer than 2d+1 may
     survive at sequence edges. Ties resolve to the smallest index. If no
     candidate contains any event the search is degenerate and keeps n_c.
+    Frames are rendered as running sums: each candidate's is the previous
+    one's plus one cell grid, which the grids' integer counts make the same
+    bytes as render_cells' sum (`events.render_cell_runs`).
     """
     if d < 0:
         raise ValueError(f"neighborhood radius must be non-negative, got {d}")
@@ -235,8 +238,9 @@ def neighborhood_search(stream, cells, n_p, n_c, d, oracle, *, repr_kind="frame"
     candidates = list(range(lo, hi + 1))
     losses = []
     any_events = False
-    for edge in candidates:
-        rep = render_cells(stream, cells, n_p + 1, edge, repr_kind, n_bins=n_bins, tau_us=tau_us)
+    reps = render_cell_runs(stream, cells, n_p + 1, lo, hi, repr_kind, n_bins=n_bins,
+                            tau_us=tau_us)
+    for edge, rep in zip(candidates, reps):
         ctx = EvalContext(label=label, t_start_us=rep.t_start_us, t_end_us=rep.t_end_us,
                           n_events=rep.n_events, last_cell=edge)
         losses.append(float(oracle.evaluate(rep, ctx)))

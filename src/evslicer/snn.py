@@ -414,7 +414,10 @@ class SlicerNet:
         step = CHUNK if tail else len(grids)
         blocks = []
         for start in range(0, len(grids), step):
-            cells = np.multiply(grids[start:start + step], self.input_scale, dtype=self.dtype)
+            cells = grids[start:start + step]
+            # a scale of 1 leaves the cast, which astype makes at less cost
+            cells = (cells.astype(self.dtype) if self.input_scale == 1.0
+                     else np.multiply(cells, self.input_scale, dtype=self.dtype))
             blocks.append(walk(Tensor(cells), 0, tail))
         x = walk(ad.concat(blocks), tail, len(self.layers))
         return ad.cast(x.reshape(-1), np.float64)

@@ -115,18 +115,28 @@ NEURONS = {"IF": NeuronConfig(), "LIF": NeuronConfig(beta=0.9),
 @pytest.mark.parametrize("steps", [1, CHUNK - 3, 2 * CHUNK + 3])
 @pytest.mark.parametrize("name", list(NEURONS))
 def test_neuron_scan_grads(name, steps, reset):
+    """A current of rows of 5 and a 1-D one (the output neuron's, stepped on
+    Python floats), each with its carried potential."""
     r = rng_for(steps)
-    current = Tensor(r.normal(0.5, 0.6, size=(steps, 5)), requires_grad=True)
-    v0 = Tensor(r.normal(0.2, 0.4, size=5), requires_grad=True)
-    w_out, w_end = Tensor(r.normal(size=(steps, 5))), Tensor(r.normal(size=5))
+    scans = []
+    for step in ((5,), ()):
+        current = Tensor(r.normal(0.5, 0.6, size=(steps, *step)), requires_grad=True)
+        v0 = Tensor(r.normal(0.2, 0.4, size=step), requires_grad=True)
+        w_out, w_end = Tensor(r.normal(size=(steps, *step))), Tensor(r.normal(size=step))
+        scans.append((current, v0, w_out, w_end))
 
     def loss(read_out=True):
-        out, v_end, _ = neuron_scan(current, v0, NEURONS[name], reset=reset, relaxed=True)
-        carried = (v_end * w_end).sum()
-        return (out * w_out).sum() + carried if read_out else carried
+        total = Tensor(0.0)
+        for current, v0, w_out, w_end in scans:
+            out, v_end, _ = neuron_scan(current, v0, NEURONS[name], reset=reset, relaxed=True)
+            total = total + (v_end * w_end).sum()
+            if read_out:
+                total = total + (out * w_out).sum()
+        return total
 
-    assert check_grads(loss, [current, v0]) <= 1e-4
-    assert check_grads(lambda: loss(read_out=False), [current, v0]) <= 1e-4
+    inputs = [t for scan in scans for t in scan[:2]]
+    assert check_grads(loss, inputs) <= 1e-4
+    assert check_grads(lambda: loss(read_out=False), inputs) <= 1e-4
 
 
 @pytest.mark.parametrize("name", list(NEURONS))

@@ -8,7 +8,13 @@ import pytest
 
 from evslicer.autodiff import load_named_tensors
 from evslicer.cli import load_cells, main
-from evslicer.events import Scenario, build_cells, parse_events, synth_stream
+from evslicer.events import (
+    Scenario,
+    build_cells,
+    parse_events,
+    serialize_events_binary,
+    synth_stream,
+)
 from evslicer.snn import DEFAULT_ARCH, SlicerNet
 
 MICRO_TRAIN = ["--arch", "LN-IF", "--hw", "8x8", "--n-steps", "6", "--target", "3",
@@ -150,6 +156,38 @@ class TestCells:
         err = capsys.readouterr().err
         assert rc == 2
         assert err == f"error: n_cells must be positive, got {n_cells}\n"
+
+    @pytest.mark.parametrize("half", [["--t0-us", "0"], ["--span-us", "99999999"]],
+                             ids=["t0-alone", "span-alone"])
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_half_a_window_override_exits_2_with_one_line(self, tmp_path, capsys, fmt, half):
+        events, stream = synth_csv(tmp_path)
+        if fmt == "binary":
+            events = tmp_path / "events.bin"
+            events.write_bytes(serialize_events_binary(stream))
+        rc = main(["cells", "--events", str(events), "--dt-us", "1000", "--geometry", "8x8",
+                   *half, "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "span_us" in err
+        assert not (tmp_path / "cells.npz").exists()
+
+    def test_geometry_beyond_int64_exits_2_with_one_line(self, tmp_path, capsys):
+        events, _ = synth_csv(tmp_path)
+        rc = main(["cells", "--events", str(events), "--dt-us", "10000",
+                   "--geometry", "99999999999999999999x8", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: bad geometry ") and err.count("\n") == 1
+        assert "64-bit" in err
+
+    def test_grid_beyond_int64_exits_2_before_allocating(self, tmp_path, capsys):
+        events, _ = synth_csv(tmp_path)
+        rc = main(["cells", "--events", str(events), "--dt-us", "10000", "--geometry", "8x8",
+                   "--n-cells", str(2 ** 63 - 1), "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "64-bit" in err
 
     def test_csv_without_geometry_exits_2(self, tmp_path):
         events, _ = synth_csv(tmp_path)

@@ -261,6 +261,13 @@ def test_windows_near_the_top_of_the_timestamp_range():
         density_profile(s, 0)
 
 
+@pytest.mark.parametrize("n_cells", [2 ** 62, 2 ** 63 - 1])
+def test_build_cells_refuses_a_grid_beyond_int64_before_allocating(n_cells):
+    s = make_stream([[5, 1, 1, 1]], t0=0, span_us=100)
+    with pytest.raises(ValueError, match="64-bit"):
+        build_cells(s, 10, n_cells=n_cells)
+
+
 def test_density_profile_matches_schedule_contrast():
     sc = Scenario(width=16, height=16, duration_ms=400,
                   rate_per_ms=[[0, 200, 10.0], [200, 400, 30.0]],
@@ -384,6 +391,15 @@ def test_csv_errors_carry_line_numbers():
         parse_events_csv(b"t_us,x,y,p\n1,2\n", 8, 8)
     with pytest.raises(EventFormatError, match="line 3"):
         parse_events_csv(b"t_us,x,y,p\n1,2,3,1\n4,5,6,2\n", 8, 8)
+
+
+@pytest.mark.parametrize("window", [dict(t0=0), dict(span_us=20)])
+def test_window_override_needs_both_halves(window):
+    s = make_stream([[7, 1, 2, 1], [9, 3, 4, -1]], t0=0, span_us=20)
+    for parse in (lambda: parse_events_csv(serialize_events_csv(s), 8, 8, **window),
+                  lambda: parse_events_binary(serialize_events_binary(s), **window)):
+        with pytest.raises(EventFormatError, match="go together"):
+            parse()
 
 
 def test_binary_round_trip_and_layout():

@@ -52,11 +52,14 @@ def where_scan(drive, v, beta, v_th, v_reset):
 
 @st.composite
 def scan_inputs(draw):
+    """A drive of 1-4 steps, each a row of 1-12 values or (1-D, stepped on
+    Python floats in float64) one value, and a carried potential."""
     dtype = draw(st.sampled_from(DTYPES))
     v_th = 1.0
-    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 12)))
+    step = draw(st.one_of(st.just(()), st.tuples(st.integers(1, 12))))
+    shape = (draw(st.integers(1, 4)), *step)
     drive = draw(hnp.arrays(dtype, shape, elements=floats(dtype, special=(v_th, -v_th))))
-    v0 = draw(hnp.arrays(dtype, shape[1:], elements=floats(dtype, special=(v_th,))))
+    v0 = draw(hnp.arrays(dtype, step, elements=floats(dtype, special=(v_th,))))
     return drive, v0, draw(st.sampled_from([1.0, 0.9])), v_th
 
 
@@ -77,6 +80,37 @@ def test_hard_reset_matches_where(v_reset, case):
     unsign = (lambda a: a + a.dtype.type(0.0)) if v_reset > 0 else (lambda a: a)
     for got, want in zip((out.data, potentials, v_end.data), ref):
         assert same_bytes(unsign(got), unsign(want))
+
+
+@pytest.mark.parametrize("relaxed", [False, True], ids=["hard", "relaxed"])
+@pytest.mark.parametrize("reset", [True, False], ids=["reset", "no-reset"])
+@pytest.mark.parametrize("cfg", [NeuronConfig(), NeuronConfig(beta=0.9),
+                                 NeuronConfig(v_reset=-0.4)], ids=["IF", "LIF", "reset-0.4"])
+def test_scalar_steps_match_rows_of_one(cfg, reset, relaxed):
+    """A (T,) float64 current steps through Python floats and the same
+    current as (T, 1) through array rows: spikes, potentials, v_end and the
+    gradients of the current and of v0 (or, without one, from rest) are
+    the same bytes."""
+    r = np.random.default_rng(7)
+    drive = r.normal(0.5, 0.9, size=41)
+    drive[[4, 9, 17]] = cfg.v_th      # exact threshold hits and surrogate window edges
+    drive[[5, 23]] = cfg.v_th + cfg.surrogate_window
+    w_out, w_end = r.normal(size=41), r.normal()
+    runs = []
+    for step in ((), (1,)):
+        for v0 in (Tensor(np.full(step, 0.3), requires_grad=True), None):
+            current = Tensor(drive.reshape(-1, *step), requires_grad=True)
+            out, v_end, potentials = ad.neuron_scan(current, v0, cfg, reset=reset, relaxed=relaxed)
+            loss = (out * Tensor(w_out.reshape(-1, *step))).sum() + \
+                (v_end * Tensor(np.full(step, w_end))).sum()
+            got = [out.data, potentials, v_end.data]
+            loss.backward()
+            got += [current.grad] + ([] if v0 is None else [v0.grad])
+            runs.append([a.reshape(-1) for a in got])
+    half = len(runs) // 2
+    for scalar, rows in zip(runs[:half], runs[half:]):
+        assert len(scalar) == len(rows)
+        assert all(same_bytes(a, b) for a, b in zip(scalar, rows))
 
 
 @given(st.sampled_from(DTYPES), st.data())

@@ -349,6 +349,23 @@ def test_body_runs_in_the_net_dtype_and_head_in_float64():
         small_net(dtype="float16")
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_body_scales_cells_as_one_multiply_in_the_net_dtype(dtype, scale):
+    """The first layer sees np.multiply(cells, input_scale, dtype=dtype),
+    byte for byte, block by block. Any floats, not only counts: rounding the
+    product of the float64 factors to float32 would differ on some."""
+    net = SlicerNet(DEFAULT_ARCH, in_hw=(8, 8), hidden_units=16, seed=3, input_scale=scale,
+                    dtype=dtype)
+    cells = rng_for(4).normal(0.0, 3.0, size=(2 * CHUNK + 3, 2, 8, 8))
+    seen = []
+    net.body(cells, probe=lambda i, x: seen.append(x.data) if i == 0 else None)
+    want = np.multiply(cells, scale, dtype=dtype)
+    assert [len(x) for x in seen] == [CHUNK, CHUNK, 3]
+    got = np.concatenate(seen)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("steps", [1, CHUNK - 3, 2 * CHUNK + 3])
 @pytest.mark.parametrize("cfg", [NeuronConfig(), NeuronConfig(beta=0.9),
                                  NeuronConfig(v_reset=-0.4)], ids=["IF", "LIF", "reset-0.4"])
