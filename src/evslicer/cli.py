@@ -115,16 +115,16 @@ def int64(text):
     return value
 
 
-def _read_stream(path, geometry=None, t0=None, span_us=None):
+def _read_stream(args, path):
+    """The event file at path, read with the stream flags of args:
+    --geometry (which a CSV needs), --t0-us and --span-us."""
     path = Path(path)
     fmt = "binary" if path.suffix in (".bin", ".sse") else "csv"
-    width = height = None
-    if geometry:
-        width, height = geometry
-    if fmt == "csv" and geometry is None:
+    width, height = _parse_geometry(args.geometry) if args.geometry else (None, None)
+    if fmt == "csv" and width is None:
         raise ConfigError(f"{path}: CSV input needs --geometry WxH")
     return parse_events(path.read_bytes(), fmt, width=width, height=height,
-                        t0=t0, span_us=span_us)
+                        t0=args.t0_us, span_us=args.span_us)
 
 
 def _parse_geometry(text):
@@ -137,14 +137,14 @@ def _parse_geometry(text):
         raise ConfigError(f"bad geometry {text!r}: {exc}") from None
 
 
-def _parse_labelled(specs, geometry, t0=None, span_us=None):
+def _parse_labelled(args, specs):
     """'path:label' pairs -> [(EventStream, int)] for the classifier tasks."""
     out = []
     for spec in specs:
         path, sep, label = spec.rpartition(":")
         if not sep or not label.lstrip("-").isdigit():
             raise ConfigError(f"expected path:label, got {spec!r}")
-        out.append((_read_stream(path, geometry, t0, span_us), int(label)))
+        out.append((_read_stream(args, path), int(label)))
     return out
 
 
@@ -176,8 +176,7 @@ def cmd_cells(args):
     started = _utc_now()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    geometry = _parse_geometry(args.geometry) if args.geometry else None
-    stream = _read_stream(args.events, geometry, args.t0_us, args.span_us)
+    stream = _read_stream(args, args.events)
     cells = build_cells(stream, args.dt_us, n_cells=args.n_cells)
     out = out_dir / (args.out or "cells.npz")
     np.savez(out, grids=cells.grids, t0=np.uint64(cells.t0),
@@ -229,7 +228,7 @@ def cmd_train(args):
 
     if args.task in ("arena-i", "arena-ii"):
         cfg = build_dataclass(ArenaConfig, file_cfg, args,
-                              in_hw=_parse_geometry(args.hw) if args.hw else None)
+                              in_hw=_parse_geometry(args.hw)[::-1] if args.hw else None)
         net = build_arena_net(cfg)
         try:
             res = train_arena(net, cfg)
@@ -254,15 +253,14 @@ def cmd_train(args):
     # feedback
     if not args.events:
         raise ConfigError("train feedback needs at least one --events file")
-    geometry = _parse_geometry(args.geometry) if args.geometry else None
     cfg = build_dataclass(FeedbackConfig, file_cfg, args)
     if args.oracle == "density":
         if args.target_events is None:
             raise ConfigError("--oracle density needs --target-events")
         oracle = DensityTargetOracle(args.target_events)
-        data = [_read_stream(p, geometry, args.t0_us, args.span_us) for p in args.events]
+        data = [_read_stream(args, p) for p in args.events]
     else:
-        data = _parse_labelled(args.events, geometry, args.t0_us, args.span_us)
+        data = _parse_labelled(args, args.events)
         sample = data[0][0]
         in_shape = (2, sample.height, sample.width)
         n_classes = max(label for _, label in data) + 1
@@ -299,9 +297,9 @@ def cmd_train(args):
 # slice
 # ---------------------------------------------------------------------------
 
-def _slice_one(args, geometry, events_path, out_dir):
+def _slice_one(args, events_path, out_dir):
     net = SlicerNet.load(args.checkpoint)
-    stream = _read_stream(events_path, geometry, args.t0_us, args.span_us)
+    stream = _read_stream(args, events_path)
     decisions = slice_stream(net, stream, args.dt_us, args.repr_kind,
                              flush_tail=not args.no_flush_tail,
                              n_bins=args.n_bins, tau_us=args.tau_us,
@@ -321,8 +319,7 @@ def _slice_one(args, geometry, events_path, out_dir):
     with open(decisions_path, "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    cells = build_cells(stream, args.dt_us)
-    report = slice_report(decisions, stream, len(cells), args.dt_us)
+    report = slice_report(decisions, stream, stream.span_us // args.dt_us, args.dt_us)
     report_path = out_dir / "report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return decisions_path, report_path, len(decisions)
@@ -339,9 +336,8 @@ def cmd_slice(args):
         raise ConfigError(f"{paths} would all write {out_dir / clash}; "
                           "give the event files distinct names")
     out_dir.mkdir(parents=True, exist_ok=True)
-    geometry = _parse_geometry(args.geometry) if args.geometry else None
     subs = [out_dir / key for key in keys] if multi else [out_dir]
-    work = partial(_slice_one, args, geometry)
+    work = partial(_slice_one, args)
     if args.jobs > 1 and multi:
         # parallel across independent streams only; each worker reloads the
         # checkpoint so no model state is shared
@@ -383,10 +379,9 @@ def cmd_report(args):
     started = _utc_now()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    geometry = _parse_geometry(args.geometry) if args.geometry else None
 
     if args.kind == "density":
-        stream = _read_stream(args.events, geometry, args.t0_us, args.span_us)
+        stream = _read_stream(args, args.events)
         starts, values = density_profile(stream, args.dt_us)
         rows = [{"window": i, "t_start_us": int(t), "events_per_us": float(v)}
                 for i, (t, v) in enumerate(zip(starts, values))]
@@ -399,7 +394,7 @@ def cmd_report(args):
 
     if args.kind == "energy":
         net = SlicerNet.load(args.checkpoint)
-        stream = _read_stream(args.events, geometry, args.t0_us, args.span_us)
+        stream = _read_stream(args, args.events)
         cells = build_cells(stream, args.dt_us)
         stats = profile_network(net, cells)
         report = energy_report(stats)
@@ -415,8 +410,8 @@ def cmd_report(args):
     if not (args.train and args.test):
         raise ConfigError("report compare needs --train and --test path:label lists")
     net = SlicerNet.load(args.checkpoint)
-    train_data = _parse_labelled(args.train, geometry, args.t0_us, args.span_us)
-    test_data = _parse_labelled(args.test, geometry, args.t0_us, args.span_us)
+    train_data = _parse_labelled(args, args.train)
+    test_data = _parse_labelled(args, args.test)
     policies = tuple(args.policies.split(","))
     results = compare_policies(net, train_data, test_data, args.dt_us,
                                policies=policies, target_events=args.target_events,

@@ -34,7 +34,14 @@ class EventFormatError(ValueError):
 
 @dataclass
 class EventStream:
-    """Time-sorted events on a W x H sensor; t0/span define the covered window."""
+    """Time-sorted events on a W x H sensor; t0/span define the covered window.
+
+    The window [t0, t0 + span_us] is given as both values or neither. Neither
+    (None, None) means the events' own extent, which is 0 and 0 for a stream
+    without events; a given window is used as given, 0 and 0 included, and
+    every event must lie inside it. The geometry needs at least one pixel
+    each way.
+    """
 
     width: int
     height: int
@@ -42,8 +49,8 @@ class EventStream:
     x: np.ndarray          # uint16
     y: np.ndarray          # uint16
     p: np.ndarray          # int8, values in {-1, +1}
-    t0: int = 0
-    span_us: int = 0
+    t0: int | None = None
+    span_us: int | None = None
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=np.uint64)
@@ -51,14 +58,24 @@ class EventStream:
         self.y = np.asarray(self.y, dtype=np.uint16)
         self.p = np.asarray(self.p, dtype=np.int8)
         n = self.t.size
-        if self.t0 < 0 or self.span_us < 0:
-            raise EventFormatError(f"window t0={self.t0} span={self.span_us} must not be negative")
+        if self.width < 1 or self.height < 1:
+            raise EventFormatError(f"geometry {self.width}x{self.height} needs at least "
+                                   f"one pixel each way")
+        if (self.t0 is None) != (self.span_us is None):
+            raise EventFormatError(f"the window start t0 and length span_us go together, "
+                                   f"got t0={self.t0} and span_us={self.span_us}")
         if not (self.x.size == self.y.size == self.p.size == n):
             raise EventFormatError("event field arrays differ in length")
+        if np.any(self.t[1:] < self.t[:-1]):
+            order = np.argsort(self.t, kind="stable")
+            self.t, self.x, self.y, self.p = self.t[order], self.x[order], self.y[order], self.p[order]
+        lo, hi = (int(self.t[0]), int(self.t[-1])) if n else (0, 0)
+        if self.t0 is None:
+            self.t0, self.span_us = lo, hi - lo
+        self.t0, self.span_us = int(self.t0), int(self.span_us)
+        if self.t0 < 0 or self.span_us < 0:
+            raise EventFormatError(f"window t0={self.t0} span={self.span_us} must not be negative")
         if n:
-            if self.t.size > 1 and np.any(np.diff(self.t.astype(np.int64)) < 0):
-                order = np.argsort(self.t, kind="stable")
-                self.t, self.x, self.y, self.p = self.t[order], self.x[order], self.y[order], self.p[order]
             if int(self.x.max()) >= self.width or int(self.y.max()) >= self.height:
                 raise EventFormatError(
                     f"event coordinates exceed geometry {self.width}x{self.height}"
@@ -66,9 +83,6 @@ class EventStream:
             bad = np.setdiff1d(np.unique(self.p), np.array([-1, 1], dtype=np.int8))
             if bad.size:
                 raise EventFormatError(f"polarity values outside {{-1,1}}: {bad.tolist()}")
-            lo, hi = int(self.t.min()), int(self.t.max())
-            if self.span_us == 0 and self.t0 == 0:
-                self.t0, self.span_us = lo, hi - lo
             if lo < self.t0 or hi > self.t0 + self.span_us:
                 raise EventFormatError("event timestamps fall outside [t0, t0 + span]")
 
@@ -264,47 +278,36 @@ def render(group, kind="frame", n_bins=2, tau_us=None):
 
 def render_cells(stream, cells, first, last, kind="frame", n_bins=5, tau_us=None):
     """Render the group of cells first..last (inclusive) of `cells`, the
-    cell sequence built from `stream`.
-
-    A frame is the sum of the cells' count grids and its event count that
-    frame's sum: the counts are integers, exact in float64, so both equal
-    render(event_group(...), "frame") bit for bit without reading an event.
-    Voxels and time surfaces need event times and are rendered from the
-    group's events; tau_us defaults to 4 cells.
-    """
-    if kind == "frame":
-        return _frame(cells, first, last, cells.grids[first:last + 1].sum(axis=0))
-    if tau_us is None and kind == "time_surface":
-        tau_us = 4.0 * cells.dt_us
-    t_start, _ = cells.interval(first)
-    _, t_end = cells.interval(last)
-    return render(event_group(stream, t_start, t_end), kind, n_bins=n_bins, tau_us=tau_us)
+    cell sequence built from `stream`: the one group of
+    render_cell_runs(stream, cells, first, last, last, ...)."""
+    return next(render_cell_runs(stream, cells, first, last, last, kind, n_bins, tau_us))
 
 
 def render_cell_runs(stream, cells, first, lo, hi, kind="frame", n_bins=5, tau_us=None):
-    """Yield render_cells(stream, cells, first, last, ...) for last = lo..hi
-    in turn: the groups that share the left edge `first`.
+    """Yield the rendered groups of cells first..last for last = lo..hi in
+    turn: the groups that share the left edge `first`.
 
-    Each frame is the one before it plus the grid of its last cell, in a new
-    array, so every representation owns its tensor. The counts are integers,
-    exact in float64, so the running sum has the bytes of the whole one.
+    A frame is the sum of the cells' count grids and its event count that
+    frame's sum: each is the frame before it plus the grid of its last cell,
+    in a new array, so every representation owns its tensor. The counts are
+    integers, exact in float64, so a frame equals
+    render(event_group(...), "frame") bit for bit without reading an event.
+    Voxels and time surfaces need event times and are rendered from each
+    group's events; tau_us defaults to 4 cells.
     """
-    if kind != "frame":
-        for last in range(lo, hi + 1):
-            yield render_cells(stream, cells, first, last, kind, n_bins=n_bins, tau_us=tau_us)
-        return
-    frame = cells.grids[first:lo].sum(axis=0)
-    for last in range(lo, hi + 1):
-        frame = frame + cells.grids[last]
-        yield _frame(cells, first, last, frame)
-
-
-def _frame(cells, first, last, frame):
-    """The frame representation of cells first..last, whose grid sum is frame."""
     t_start, _ = cells.interval(first)
-    _, t_end = cells.interval(last)
-    return Representation(kind="frame", tensor=frame, t_start_us=t_start,
-                          t_end_us=t_end, n_events=int(frame.sum()))
+    if kind == "frame":
+        frame = cells.grids[first:lo].sum(axis=0)
+        for last in range(lo, hi + 1):
+            frame = frame + cells.grids[last]
+            yield Representation(kind="frame", tensor=frame, t_start_us=t_start,
+                                 t_end_us=cells.interval(last)[1], n_events=int(frame.sum()))
+        return
+    if tau_us is None and kind == "time_surface":
+        tau_us = 4.0 * cells.dt_us
+    for last in range(lo, hi + 1):
+        group = event_group(stream, t_start, cells.interval(last)[1])
+        yield render(group, kind, n_bins=n_bins, tau_us=tau_us)
 
 
 def event_density(stream, t_us, dt_us):
@@ -323,7 +326,8 @@ def density_profile(stream, dt_us):
     if dt_us <= 0:
         raise ValueError(f"dt_us must be positive, got {dt_us}")
     n = stream.span_us // dt_us
-    starts = stream.t0 + np.arange(n, dtype=np.int64) * dt_us
+    # t0 + n * dt_us <= t0 + span fits in uint64, where t0 alone may not fit int64
+    starts = np.uint64(stream.t0) + np.arange(n, dtype=np.uint64) * np.uint64(dt_us)
     idx = _window_index(stream, dt_us)
     counts = np.bincount(idx[idx < n].astype(np.int64), minlength=n).astype(np.float64)
     return starts, counts / float(dt_us)
@@ -345,16 +349,7 @@ def parse_events_csv(data, width, height, t0=None, span_us=None):
     if columns is None:
         columns = _csv_columns_scan(text)
     t, x, y, p = columns
-    return EventStream(width=width, height=height, t=t, x=x, y=y, p=p, **_window(t0, span_us))
-
-
-def _window(t0, span_us):
-    """EventStream's window arguments for an override of both t0 and
-    span_us, or of neither (the events' own extent)."""
-    if (t0 is None) != (span_us is None):
-        raise EventFormatError(f"the window start t0 and length span_us go together, "
-                               f"got t0={t0} and span_us={span_us}")
-    return {} if t0 is None else {"t0": int(t0), "span_us": int(span_us)}
+    return EventStream(width=width, height=height, t=t, x=x, y=y, p=p, t0=t0, span_us=span_us)
 
 
 # What a row of the fast path may hold. Other text goes to the scanner:
@@ -449,7 +444,8 @@ def parse_events_binary(data, t0=None, span_us=None):
     xs = records["x"].astype(np.uint16)
     ys = records["y"].astype(np.uint16)
     ps = records["p"].astype(np.int8)
-    return EventStream(width=width, height=height, t=ts, x=xs, y=ys, p=ps, **_window(t0, span_us))
+    return EventStream(width=width, height=height, t=ts, x=xs, y=ys, p=ps, t0=t0,
+                       span_us=span_us)
 
 
 def parse_events(data, fmt, width=None, height=None, t0=None, span_us=None):

@@ -217,16 +217,15 @@ class OracleFeedback:
 
 
 def neighborhood_search(stream, cells, n_p, n_c, d, oracle, *, repr_kind="frame",
-                        n_bins=5, tau_us=None, limit=None, label=None):
+                        n_bins=5, limit=None, label=None):
     """Score candidate cut points n_c-d .. n_c+d and pick the best.
 
     All candidates share the left edge n_p+1 and are clipped to
     (n_p, limit] (limit defaults to the last cell), so fewer than 2d+1 may
     survive at sequence edges. Ties resolve to the smallest index. If no
     candidate contains any event the search is degenerate and keeps n_c.
-    Frames are rendered as running sums: each candidate's is the previous
-    one's plus one cell grid, which the grids' integer counts make the same
-    bytes as render_cells' sum (`events.render_cell_runs`).
+    The candidates are rendered in one pass of `events.render_cell_runs`, so
+    each frame is the previous candidate's plus one cell grid.
     """
     if d < 0:
         raise ValueError(f"neighborhood radius must be non-negative, got {d}")
@@ -238,8 +237,7 @@ def neighborhood_search(stream, cells, n_p, n_c, d, oracle, *, repr_kind="frame"
     candidates = list(range(lo, hi + 1))
     losses = []
     any_events = False
-    reps = render_cell_runs(stream, cells, n_p + 1, lo, hi, repr_kind, n_bins=n_bins,
-                            tau_us=tau_us)
+    reps = render_cell_runs(stream, cells, n_p + 1, lo, hi, repr_kind, n_bins=n_bins)
     for edge, rep in zip(candidates, reps):
         ctx = EvalContext(label=label, t_start_us=rep.t_start_us, t_end_us=rep.t_end_us,
                           n_events=rep.n_events, last_cell=edge)

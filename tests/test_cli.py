@@ -2,6 +2,7 @@
 config precedence, exit codes, and the report formats."""
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -170,6 +171,34 @@ class TestCells:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and "span_us" in err
+        assert not (tmp_path / "cells.npz").exists()
+
+    def test_explicit_zero_window_is_used_as_given(self, tmp_path, capsys):
+        """`--t0-us 0 --span-us 0` is a window, not "no window": the events
+        lie outside it, so the file is refused."""
+        events, _ = synth_csv(tmp_path)
+        rc = main(["cells", "--events", str(events), "--dt-us", "1000", "--geometry", "8x8",
+                   "--t0-us", "0", "--span-us", "0", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: event timestamps fall outside [t0, t0 + span]\n"
+        assert not (tmp_path / "cells.npz").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_geometry_without_pixels_exits_2_with_one_line(self, tmp_path, capsys, fmt):
+        """A header-only CSV read as 0x8 and a binary file whose header says
+        width 0 hold no event to trip the coordinate check."""
+        if fmt == "csv":
+            events = tmp_path / "empty.csv"
+            events.write_text("t_us,x,y,p\n")
+        else:
+            events = tmp_path / "empty.bin"
+            events.write_bytes(b"SSEV" + struct.pack("<IHHQ", 1, 0, 8, 0))
+        rc = main(["cells", "--events", str(events), "--dt-us", "1000", "--geometry", "0x8",
+                   "--t0-us", "0", "--span-us", "5000", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: geometry 0x8 needs at least one pixel each way\n"
         assert not (tmp_path / "cells.npz").exists()
 
     def test_geometry_beyond_int64_exits_2_with_one_line(self, tmp_path, capsys):
@@ -390,6 +419,18 @@ class TestTrain:
         assert result["task"] == "feedback" and result["samples"] == 8
         assert (tmp_path / "checkpoint.sslc").exists()
 
+    def test_hw_is_width_by_height(self, tmp_path):
+        """--hw reads WxH as --geometry does, so a 16x8 net slices 16x8 cells."""
+        assert main(["train", "arena-i", "--arch", "LN-IF", "--hw", "16x8", "--n-steps", "6",
+                     "--max-iters", "2", "--out-dir", str(tmp_path / "net")]) == 0
+        ckpt = tmp_path / "net" / "checkpoint.sslc"
+        meta = json.loads((tmp_path / "net" / "checkpoint.sslc.meta.json").read_text())
+        assert meta["in_hw"] == [8, 16]
+        events, _ = synth_csv(tmp_path, width=16, height=8)
+        rc = main(["slice", "--checkpoint", str(ckpt), "--events", str(events),
+                   "--dt-us", "10000", "--geometry", "16x8", "--out-dir", str(tmp_path / "s")])
+        assert rc == 0
+
     def test_feedback_without_events_exits_2(self, tmp_path):
         assert main(["train", "feedback", "--out-dir", str(tmp_path)]) == 2
 
@@ -598,6 +639,15 @@ class TestReport:
         rows = json.loads((tmp_path / "density.json").read_text())
         assert len(rows) == 6
         assert all(r["events_per_us"] == 0.0 for r in rows)
+
+    def test_density_at_t0_beyond_int64(self, tmp_path):
+        events = tmp_path / "late.csv"
+        events.write_text(f"t_us,x,y,p\n{2 ** 63 + 2},1,1,1\n{2 ** 63 + 9},2,2,-1\n")
+        rc = main(["report", "density", "--events", str(events), "--dt-us", "5",
+                   "--geometry", "8x8", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        rows = json.loads((tmp_path / "density.json").read_text())
+        assert rows == [{"window": 0, "t_start_us": 2 ** 63 + 2, "events_per_us": 0.2}]
 
     def test_energy_matches_api(self, tmp_path):
         from evslicer.energy import energy_report, profile_network

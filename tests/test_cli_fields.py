@@ -1,13 +1,16 @@
-"""Property test of the declared fields through the command line: one
-arbitrary JSON value in any one field of a training config, a scenario or a
-checkpoint sidecar, on top of a tiny valid base, ends in exit 0, 2 or 3,
-never 1 or an escaped exception, and an exit 2 prints exactly one `error:`
-line.
+"""Property tests through the command line: one arbitrary JSON value in any
+one field of a training config, a scenario or a checkpoint sidecar, on top
+of a tiny valid base, and any values of the stream flags of `cells` and
+`report density`, end in exit 0, 2 or 3, never 1 or an escaped exception,
+and an exit 2 prints exactly one `error:` line.
 
 In-range draws of sizes and budgets (the SMALL fields) come from a small
 range, so that no run is slow or large: nothing caps `hidden_units`, and a
 sidecar's layers are allocated before the checkpoint's shapes are compared.
+Stream flags draw edge values, but only where what the command would
+allocate stays small or is refused before allocating.
 """
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -15,12 +18,13 @@ import json
 import typing
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from evslicer.cli import main
-from evslicer.events import Scenario
+from evslicer.cli import build_parser, int64, main
+from evslicer.events import EventStream, Scenario, serialize_events_binary, serialize_events_csv
 from evslicer.feedback import ArenaConfig, FeedbackConfig
+from evslicer.schema import INT64
 from evslicer.snn import NetSpec, NeuronConfig, SlicerNet
 
 SMALL = {"in_hw", "n_steps", "max_iters", "streak", "target", "cell_rate", "hidden_units",
@@ -55,10 +59,14 @@ def one_field(draw, names):
 
 
 def run(argv):
-    """main(argv) -> (exit code, stderr lines), output kept off the terminal."""
+    """main(argv) -> (exit code, stderr lines), output kept off the terminal;
+    argparse's refusals exit 2 after printing its usage."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        rc = main(argv)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
     return rc, err.getvalue().splitlines()
 
 
@@ -159,3 +167,96 @@ def test_integer_beyond_64_bits_exits_2(base, command, name, sign):
     rc, lines = command(base, (name, [value, 8] if name == "in_hw" else value))
     assert rc == 2 and len(lines) == 1
     assert lines[0].startswith("error: ") and name in lines[0], lines
+
+
+# ---------------------------------------------------------------------------
+# stream flags
+# ---------------------------------------------------------------------------
+
+STREAM_FLAGS = ("geometry", "t0_us", "span_us", "dt_us", "n_cells")
+# the tiny event files: three events in 3x3 pixels over [10, 20], in a 4x4 header
+TINY = EventStream(4, 4, t=[10, 14, 20], x=[1, 2, 0], y=[1, 0, 2], p=[1, -1, 1])
+INT64_MAX = 2 ** 63 - 1
+EDGES = st.sampled_from([0, 1, 2, 3, 4, 7, 16, 1000, -1, -16, 2 ** 31, 2 ** 62,
+                         INT64_MAX, -INT64_MAX - 1, INT64_MAX + 1, -INT64_MAX - 2])
+GRID_LIMIT, WINDOW_LIMIT = 2 ** 16, 2 ** 12
+
+
+def stream_actions(command):
+    """The parser's actions for the stream flags a subcommand takes, by dest."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in subparsers.choices[command]._actions if a.dest in STREAM_FLAGS}
+
+
+def flag_values(action):
+    """Values of one flag: absent, an edge value of its type, or (for the
+    untyped --geometry) WxH of edge values and some malformed text."""
+    ints = st.integers(1, 32) | EDGES
+    if action.type is int64:
+        return st.none() | ints
+    assert action.type is None and action.dest == "geometry"
+    return st.none() | st.tuples(ints, ints) | st.sampled_from(["8by8", "x8", "4x", "4x4x4"])
+
+
+@st.composite
+def stream_draws(draw):
+    command = draw(st.sampled_from(["cells", "density"]))
+    actions = stream_actions("report" if command == "density" else command)
+    values = {dest: draw(flag_values(action)) for dest, action in actions.items()}
+    return command, draw(st.sampled_from(["csv", "bin"])), actions, values
+
+
+def allocation(command, fmt, values):
+    """Entries the draw could have the command allocate: cell-grid counts
+    (cells) or density windows; 0 where a flag is refused first."""
+    ints = {k: v for k, v in values.items() if k != "geometry" and v is not None}
+    if any(v not in INT64 for v in ints.values()):
+        return 0
+    if ("t0_us" in ints) != ("span_us" in ints) or min(ints.values(), default=0) < 0:
+        return 0
+    geometry = values["geometry"]
+    if geometry is not None and (not isinstance(geometry, tuple)
+                                 or any(v not in INT64 for v in geometry)):
+        return 0                        # malformed: refused even beside a binary file
+    if fmt == "csv" and (geometry is None or min(geometry) < 1):
+        return 0
+    w, h = geometry if fmt == "csv" else (TINY.width, TINY.height)    # a binary file's own
+    span = ints.get("span_us", TINY.span_us)
+    dt = ints.get("dt_us", 10000 if command == "density" else 0)    # cells needs --dt-us
+    if dt < 1:
+        return 0
+    if command == "density":
+        return span // dt
+    n = ints.get("n_cells", span // dt)
+    return n * 2 * h * w if n > 0 else 0
+
+
+@pytest.fixture(scope="module")
+def tiny_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("stream_flags")
+    (root / "tiny.csv").write_bytes(serialize_events_csv(TINY))
+    (root / "tiny.bin").write_bytes(serialize_events_binary(TINY))
+    return root
+
+
+@given(draw=stream_draws())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow,
+                                                                  HealthCheck.filter_too_much])
+def test_stream_flags(tiny_files, draw):
+    """Any mix of the stream flags exits 0 or 2; argparse's refusal prints
+    its usage and one error line, every other refusal only the one line."""
+    command, fmt, actions, values = draw
+    size = allocation(command, fmt, values)
+    assume(size <= (WINDOW_LIMIT if command == "density" else GRID_LIMIT) or size > INT64_MAX)
+    argv = ["report", "density"] if command == "density" else ["cells"]
+    argv += ["--events", str(tiny_files / f"tiny.{fmt}"), "--out-dir", str(tiny_files / "out")]
+    for dest, value in values.items():
+        if value is not None:
+            text = "x".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            argv += [actions[dest].option_strings[0], text]
+    rc, lines = run(argv)
+    assert rc in (0, 2), (argv, lines)
+    if rc == 2:
+        errors = [line for line in lines if "error: " in line]
+        assert len(errors) == 1 and (len(lines) == 1 or lines[0].startswith("usage: ")), lines

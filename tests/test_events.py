@@ -393,11 +393,12 @@ def test_csv_errors_carry_line_numbers():
         parse_events_csv(b"t_us,x,y,p\n1,2,3,1\n4,5,6,2\n", 8, 8)
 
 
-@pytest.mark.parametrize("window", [dict(t0=0), dict(span_us=20)])
+@pytest.mark.parametrize("window", [dict(t0=0), dict(span_us=20), dict(t0=5)])
 def test_window_override_needs_both_halves(window):
     s = make_stream([[7, 1, 2, 1], [9, 3, 4, -1]], t0=0, span_us=20)
     for parse in (lambda: parse_events_csv(serialize_events_csv(s), 8, 8, **window),
-                  lambda: parse_events_binary(serialize_events_binary(s), **window)):
+                  lambda: parse_events_binary(serialize_events_binary(s), **window),
+                  lambda: EventStream(8, 8, s.t, s.x, s.y, s.p, **window)):
         with pytest.raises(EventFormatError, match="go together"):
             parse()
 
@@ -527,6 +528,33 @@ def test_parse_dispatch_and_geometry_validation():
         parse_events_csv(b"t_us,x,y,p\n0,9,0,1\n", 8, 8)
     with pytest.raises(EventFormatError, match="unknown event format"):
         parse_events(b"", "hdf5")
+
+
+@pytest.mark.parametrize("width, height", [(0, 8), (8, 0), (-1, 8)])
+def test_geometry_needs_a_pixel_each_way(width, height):
+    with pytest.raises(EventFormatError, match="at least one pixel each way"):
+        EventStream(width, height, t=[], x=[], y=[], p=[], t0=0, span_us=100)
+    blob = b"SSEV" + struct.pack("<IHHQ", 1, max(width, 0), max(height, 0), 0)
+    with pytest.raises(EventFormatError, match="at least one pixel each way"):
+        parse_events_binary(blob, t0=0, span_us=100)
+
+
+def test_explicit_zero_window_is_used_as_given():
+    empty = EventStream(8, 8, t=[], x=[], y=[], p=[], t0=0, span_us=0)
+    assert (empty.t0, empty.span_us) == (0, 0)
+    own = make_stream([[7, 1, 2, 1], [9, 3, 4, -1]])
+    assert (own.t0, own.span_us) == (7, 2)
+    with pytest.raises(EventFormatError, match="outside"):
+        make_stream([[7, 1, 2, 1], [9, 3, 4, -1]], t0=0, span_us=0)
+
+
+@pytest.mark.parametrize("t", [[2 ** 63 + 10, 5], [2 ** 64 - 1, 1, 2]])
+def test_unsorted_stamps_more_than_2_63_apart_are_sorted(t):
+    """Neighbours 2**63 or more apart: their difference wraps in int64."""
+    s = EventStream(8, 8, t=np.array(t, np.uint64), x=range(len(t)), y=[0] * len(t),
+                    p=[1] * len(t))
+    assert s.t.tolist() == sorted(t)
+    assert s.x.tolist() == sorted(range(len(t)), key=t.__getitem__)
 
 
 def test_unsorted_input_is_sorted_stably():

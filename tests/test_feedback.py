@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from evslicer.autodiff import SGD
-from evslicer.events import EventStream, Scenario, build_cells, render_cells, synth_stream
+from evslicer.events import (
+    EventStream,
+    Scenario,
+    build_cells,
+    event_group,
+    render,
+    render_cells,
+    synth_stream,
+)
 from evslicer.feedback import (
     ArenaConfig,
     ArenaResult,
@@ -117,31 +125,38 @@ class TestNeighborhoodSearch:
 
     @pytest.mark.parametrize("n_p, n_c, d", [(1, 6, 2), (-1, 0, 2), (3, 5, 3), (-1, 9, 0)])
     def test_running_frames_equal_rendered_ones(self, n_p, n_c, d):
-        """Each candidate's frame, a running sum of grids, has the bytes of
-        render_cells' frame, the same interval and event count, and owns
+        """Each candidate of every kind (a frame: a running sum of grids) has
+        the bytes of render_cells' group and of the one rendered from its
+        events (tau: 4 cells), the same interval and event count, and owns
         its tensor."""
         stream = uniform_stream(10, seed=3, events_per_cell=9)
         cells = build_cells(stream, 100)
-        seen = []
+        for kind in ("frame", "voxel", "time_surface"):
+            seen = []
 
-        class Capture:
-            def evaluate(self, rep, ctx):
-                seen.append((rep, ctx))
-                return 0.0
+            class Capture:
+                def evaluate(self, rep, ctx):
+                    seen.append((rep, ctx))
+                    return 0.0
 
-        fb = neighborhood_search(stream, cells, n_p, n_c, d, Capture())
-        assert [ctx.last_cell for _, ctx in seen] == fb.candidates
-        for rep, ctx in seen:
-            want = render_cells(stream, cells, n_p + 1, ctx.last_cell, "frame")
-            assert rep.tensor.dtype == want.tensor.dtype and rep.tensor.shape == want.tensor.shape
-            assert rep.tensor.tobytes() == want.tensor.tobytes()
-            assert (rep.t_start_us, rep.t_end_us, rep.n_events) == \
-                (want.t_start_us, want.t_end_us, want.n_events)
-            assert (ctx.t_start_us, ctx.t_end_us, ctx.n_events) == \
-                (want.t_start_us, want.t_end_us, want.n_events)
-        tensors = [rep.tensor for rep, _ in seen] + [cells.grids]
-        assert not any(np.shares_memory(a, b)
-                       for i, a in enumerate(tensors) for b in tensors[i + 1:])
+            fb = neighborhood_search(stream, cells, n_p, n_c, d, Capture(), repr_kind=kind)
+            assert [ctx.last_cell for _, ctx in seen] == fb.candidates
+            for rep, ctx in seen:
+                want = render_cells(stream, cells, n_p + 1, ctx.last_cell, kind)
+                group = event_group(stream, cells.interval(n_p + 1)[0],
+                                    cells.interval(ctx.last_cell)[1])
+                ref = render(group, kind, n_bins=5, tau_us=400.0)
+                for other in (want, ref):
+                    assert (rep.kind, rep.tensor.dtype, rep.tensor.shape) == \
+                        (other.kind, other.tensor.dtype, other.tensor.shape)
+                    assert rep.tensor.tobytes() == other.tensor.tobytes()
+                    assert (rep.t_start_us, rep.t_end_us, rep.n_events) == \
+                        (other.t_start_us, other.t_end_us, other.n_events)
+                assert (ctx.t_start_us, ctx.t_end_us, ctx.n_events) == \
+                    (want.t_start_us, want.t_end_us, want.n_events)
+            tensors = [rep.tensor for rep, _ in seen] + [cells.grids]
+            assert not any(np.shares_memory(a, b)
+                           for i, a in enumerate(tensors) for b in tensors[i + 1:])
 
     def test_degenerate_when_no_events(self):
         stream = counted_stream([3, 0, 0, 0, 0, 0])
