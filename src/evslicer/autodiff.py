@@ -476,15 +476,50 @@ def linear(x, weight, bias=None, rows=None):
 # convolution / pooling
 # ---------------------------------------------------------------------------
 
-def _im2col(padded, kh, kw):
-    """(n, c*kh*kw, oh*ow) columns of padded's kh x kw windows: one strided
-    copy per kernel offset, faster than copying a transposed window view."""
-    n, c, hp, wp = padded.shape
-    oh, ow = hp - kh + 1, wp - kw + 1
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=padded.dtype)
-    for i in range(kh):
+def _im2col(x, kh, kw, padding):
+    """(n, c*kh*kw, oh*ow) columns of the kh x kw windows of x zero-padded
+    by `padding` on every side, gathered in runs of oh*ow values.
+
+    x is copied once, padded in height only, into a flat buffer at the
+    output's row pitch ow: input row r starts at offset (r + padding)*ow.
+    Output position (r, s) then finds its window offset (i, j) at flat offset
+    (r + i)*ow + s + d with d = j - padding, so each kernel offset is one
+    contiguous copy of oh*ow values per cell and channel, where copying
+    windows of the padded input moves rows of only ow values. A column
+    whose window reaches past a row's edge, s < -d or s >= w - d, reads the
+    neighbouring row (or the slack at either end of the buffer) instead of
+    the side padding; those columns are set to +0.0 afterwards. The columns
+    are then the bytes of the zero-padded input's windows.
+
+    A row must fit its pitch, w <= ow, that is 2*padding >= kw - 1, as it
+    does for every padding = k // 2 convolution. A narrower convolution
+    copies the windows of a zero-padded copy of x instead.
+    """
+    n, c, h, w = x.shape
+    p = padding
+    oh, ow = h + 2 * p - kh + 1, w + 2 * p - kw + 1
+    cols = np.empty((n, c, kh, kw, oh * ow), dtype=x.dtype)
+    windows = cols.reshape(n, c, kh, kw, oh, ow)
+    if ow < w:
+        padded = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        padded[:, :, p:p + h, p:p + w] = x
+        for i in range(kh):
+            for j in range(kw):
+                windows[:, :, i, j] = padded[:, :, i:i + oh, j:j + ow]
+    else:
+        # p values of slack before the first row, kw - 1 - p after the last
+        flat = np.zeros((n, c, p + (h + 2 * p) * ow + max(kw - 1 - p, 0)), dtype=x.dtype)
+        flat[:, :, p + p * ow:p + (p + h) * ow].reshape(n, c, h, ow)[..., :w] = x
+        for i in range(kh):
+            for j in range(kw):
+                start = i * ow + j
+                cols[:, :, i, j] = flat[:, :, start:start + oh * ow]
         for j in range(kw):
-            cols[:, :, i, j] = padded[:, :, i:i + oh, j:j + ow]
+            d = j - p
+            if d < 0:
+                windows[:, :, :, j, :, :-d] = 0.0
+            if w - d < ow:
+                windows[:, :, :, j, :, max(w - d, 0):] = 0.0
     return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
 
 
@@ -519,7 +554,15 @@ def _conv_input_grad(wmat, g, padded_shape, kh, kw):
 
 def conv2d(x, weight, bias=None, stride=1, padding=0):
     """2-d cross-correlation with stride 1, NCHW input, OIHW weight. `stride`
-    is accepted only as 1, for callers that spell it out."""
+    is accepted only as 1, for callers that spell it out.
+
+    Lowered to one GEMM per call, weight rows times the im2col columns of
+    every cell (Chellapilla, Puri & Simard, "High Performance Convolutional
+    Neural Networks for Document Processing", 2006); `_im2col` gathers the
+    columns without a zero-padded copy of the input. The backward keeps the
+    columns for the weight gradient and scatters the input gradient on a
+    row-pitched buffer (`_conv_input_grad`).
+    """
     if stride != 1:
         raise ValueError(f"conv2d supports stride 1 only, got {stride}")
     if x.data.ndim != 4 or weight.data.ndim != 4:
@@ -530,12 +573,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
         raise ShapeError(f"conv2d channel mismatch: input has {cin}, weight expects {cin_w}")
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError(f"conv2d kernel {kh}x{kw} larger than padded input {h}x{w} (pad {padding})")
-    if padding:
-        padded = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
-        padded[:, :, padding:-padding, padding:-padding] = x.data
-    else:
-        padded = x.data
-    cols, oh, ow = _im2col(padded, kh, kw)
+    cols, oh, ow = _im2col(x.data, kh, kw, padding)
     wmat = weight.data.reshape(cout, cin * kh * kw)
     y = np.matmul(wmat[None], cols).reshape(n, cout, oh, ow)
     if bias is not None:
@@ -543,7 +581,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     inputs = (x, weight) if bias is None else (x, weight, bias)
     out = _node(y, inputs)
     if out.requires_grad:
-        padded_shape = padded.shape
+        padded_shape = (n, cin, h + 2 * padding, w + 2 * padding)
         bias_shape = None if bias is None else bias.data.shape
 
         def _bw(g):
@@ -569,19 +607,22 @@ def _block_mean(x, data, kh, kw):
     """Node of the kh x kw block means of data, x's values zero-padded on the
     high side to extents that kh and kw divide.
 
-    The block sums add strided views of data: numpy's reduction over the
+    The block sums add strided views of data, row first: the kw neighbours
+    along the contiguous axis over every row at once, then the kh rows of
+    those sums, each a run of ow values. That is the same association as
+    summing each block row by row, ((a + b) + (c + d)) / 4 for 2 x 2, in
+    fewer, longer passes than one per block row. numpy's reduction over the
     block axes of a reshaped view took 3.5 ms instead of 0.6 ms for the
     default net's three pools over an 8-cell block, and made the 90-cell
     slicing forward of the slice-csv benchmark 20% slower.
     """
     n, c, hp, wp = data.shape
-    oh, ow = hp // kh, wp // kw
-    total = None
-    for i in range(kh):
-        row = data[:, :, i::kh, 0::kw]
-        for j in range(1, kw):
-            row = row + data[:, :, i::kh, j::kw]
-        total = row if total is None else total + row
+    rows = data[..., 0::kw]
+    for j in range(1, kw):
+        rows = rows + data[..., j::kw]
+    total = rows[:, :, 0::kh]
+    for i in range(1, kh):
+        total = total + rows[:, :, i::kh]
     out = _node(total / (kh * kw), (x,))
     if out.requires_grad:
         h, w = x.data.shape[2:]
@@ -757,6 +798,72 @@ def spike(v, v_th=1.0, window=0.5, relaxed=False):
     return out
 
 
+def _scan_rows(drive, v, neuron, reset, relaxed):
+    """neuron_scan's forward over array steps: (potentials, spikes or None,
+    the carried potential after the last step).
+
+    Each step writes its potential and spike straight into their output
+    rows, and the reset potential goes to one buffer reused by every step,
+    with a second one for the factors (1 - S) and v_reset*S: the same ufuncs
+    on the same operands in the same order as the out-of-place expressions
+    in the comments, so the same bytes, without allocating a row per
+    operation. Steps are flattened to rows, because a step of a 1-D drive
+    indexes as a scalar copy that out= cannot write into.
+    """
+    beta, v_th, v_reset = neuron.beta, neuron.v_th, neuron.v_reset
+    window = neuron.surrogate_window
+    rows = drive.reshape(len(drive), math.prod(drive.shape[1:]))
+    potentials = np.empty_like(rows)
+    spikes = np.empty_like(rows) if reset else None
+    if reset:
+        carried = np.empty(rows.shape[1:], dtype=rows.dtype)
+        factor = np.empty_like(carried)
+    if isinstance(v, np.ndarray):
+        v = v.reshape(rows.shape[1:])
+    top = np.finfo(drive.dtype).max
+    for t in range(len(rows)):
+        p = potentials[t]
+        # p = (v if beta == 1.0 else beta * v) + drive[t]
+        if beta == 1.0:
+            np.add(v, rows[t], out=p)
+        else:
+            np.multiply(v, beta, out=p)
+            np.add(p, rows[t], out=p)
+        if not reset:
+            v = p
+            continue
+        s = spikes[t]
+        if relaxed:
+            # s = clip((p - v_th) / (2 * window) + 0.5, 0, 1)
+            np.subtract(p, v_th, out=s)
+            np.divide(s, 2.0 * window, out=s)
+            np.add(s, 0.5, out=s)
+            np.clip(s, 0.0, 1.0, out=s)
+            # carried = p * (1 - s) + v_reset * s
+            np.subtract(1.0, s, out=factor)
+            np.multiply(p, factor, out=carried)
+            np.multiply(s, v_reset, out=factor)
+            np.add(carried, factor, out=carried)
+        else:
+            # s = (p >= v_th); carried = minimum(p, top) * (1 - s) (+ v_reset * s):
+            # v_reset where s fired, p elsewhere, the same values as
+            # np.where(s > 0, v_reset, p) without its slow masked loop.
+            # Clipping to the largest finite value lets +inf reset to
+            # v_reset instead of becoming inf * 0 = NaN.
+            np.greater_equal(p, v_th, out=s)
+            np.minimum(p, top, out=carried)
+            np.subtract(1.0, s, out=factor)
+            np.multiply(carried, factor, out=carried)
+            if v_reset != 0.0:
+                np.multiply(s, v_reset, out=factor)
+                np.add(carried, factor, out=carried)
+        v = carried
+    if isinstance(v, np.ndarray):
+        v = v.reshape(drive.shape[1:])
+    return (potentials.reshape(drive.shape),
+            None if spikes is None else spikes.reshape(drive.shape), v)
+
+
 def neuron_scan(current, v0, neuron, reset=True, relaxed=False):
     """The spiking neuron run over axis 0 (time) of `current`, as one node.
 
@@ -784,39 +891,32 @@ def neuron_scan(current, v0, neuron, reset=True, relaxed=False):
     output neuron's) is one number, for which a NumPy op costs far more than
     its arithmetic: those loops run on Python floats, the same IEEE doubles
     in the same order, so they give the same bytes. Every other step is an
-    array row.
+    array row, and the forward writes each step in place (`_scan_rows`).
     """
     beta, gamma, v_reset = neuron.beta, neuron.gamma, neuron.v_reset
     v_th, window = neuron.v_th, neuron.surrogate_window
     drive = current.data if gamma == 1.0 else gamma * current.data
     v = v_reset if v0 is None else v0.data
-    top = np.finfo(drive.dtype).max
     floats = drive.ndim == 1 and drive.dtype == np.float64
     if floats:
-        steps, v, top, fire, cap = drive.tolist(), float(v), float(top), _fire_float, min
+        steps, v, top = drive.tolist(), float(v), float(np.finfo(drive.dtype).max)
         potentials = [0.0] * len(steps)
         spikes = [0.0] * len(steps) if reset else None
-    else:
-        steps, fire, cap = drive, _fire, np.minimum
-        potentials = np.empty_like(drive)
-        spikes = np.empty_like(drive) if reset else None
-    for t in range(len(steps)):
-        v = potentials[t] = (v if beta == 1.0 else beta * v) + steps[t]
-        if reset:
-            s = spikes[t] = fire(v, v_th, window, relaxed)
-            if relaxed:
-                v = v * (1.0 - s) + v_reset * s
-            else:
-                # v_reset where s fired, v elsewhere: the same values as
-                # np.where(s > 0, v_reset, v) without its slow masked loop.
-                # Clipping to the largest finite value lets +inf reset to
-                # v_reset instead of becoming inf * 0 = NaN.
-                v = cap(v, top) * (1.0 - s)
-                if v_reset != 0.0:
-                    v += v_reset * s
-    if floats:
+        for t in range(len(steps)):
+            v = potentials[t] = (v if beta == 1.0 else beta * v) + steps[t]
+            if reset:
+                s = spikes[t] = _fire_float(v, v_th, window, relaxed)
+                if relaxed:
+                    v = v * (1.0 - s) + v_reset * s
+                else:
+                    # v_reset where s fired, v elsewhere (see _scan_rows)
+                    v = min(v, top) * (1.0 - s)
+                    if v_reset != 0.0:
+                        v += v_reset * s
         potentials = np.array(potentials)
         spikes = np.array(spikes) if reset else None
+    else:
+        potentials, spikes, v = _scan_rows(drive, v, neuron, reset, relaxed)
     inputs = (current,) if v0 is None else (current, v0)
     out = _node(spikes if reset else potentials, inputs)
     v_end = _node(np.array(v, dtype=drive.dtype), (out,))

@@ -446,7 +446,8 @@ def build_parser():
     seeded.add_argument("--seed", type=int64, default=0, help="run seed")
 
     stream_flags = argparse.ArgumentParser(add_help=False)
-    stream_flags.add_argument("--geometry", help="WxH, required for CSV event inputs")
+    stream_flags.add_argument("--geometry", help="WxH, required for CSV event inputs; "
+                              "beside a binary file it must match the file header")
     stream_flags.add_argument("--t0-us", type=int64, dest="t0_us",
                               help="window start override for metadata-less files")
     stream_flags.add_argument("--span-us", type=int64, dest="span_us",

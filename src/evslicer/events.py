@@ -449,12 +449,19 @@ def parse_events_binary(data, t0=None, span_us=None):
 
 
 def parse_events(data, fmt, width=None, height=None, t0=None, span_us=None):
+    """The EventStream of a CSV (which needs width and height) or a binary
+    container (whose header holds them: a width or height given beside it
+    must agree)."""
     if fmt == "csv":
         if width is None or height is None:
             raise EventFormatError("csv events need an explicit geometry (width/height)")
         return parse_events_csv(data, width, height, t0=t0, span_us=span_us)
     if fmt == "binary":
-        return parse_events_binary(data, t0=t0, span_us=span_us)
+        stream = parse_events_binary(data, t0=t0, span_us=span_us)
+        if width not in (None, stream.width) or height not in (None, stream.height):
+            raise EventFormatError(f"geometry {width}x{height} disagrees with the event "
+                                   f"file's own {stream.width}x{stream.height}")
+        return stream
     raise EventFormatError(f"unknown event format {fmt!r}")
 
 

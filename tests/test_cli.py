@@ -10,6 +10,7 @@ import pytest
 from evslicer.autodiff import load_named_tensors
 from evslicer.cli import load_cells, main
 from evslicer.events import (
+    EventStream,
     Scenario,
     build_cells,
     parse_events,
@@ -200,6 +201,32 @@ class TestCells:
         assert rc == 2
         assert err == "error: geometry 0x8 needs at least one pixel each way\n"
         assert not (tmp_path / "cells.npz").exists()
+
+    @pytest.mark.parametrize("geometry", ["64x64", "7x-16", "4x5"])
+    def test_geometry_against_a_binary_header_exits_2_with_one_line(self, tmp_path, capsys,
+                                                                     geometry):
+        """A binary file's header holds its geometry: --geometry beside it
+        that disagrees in width, height or both is refused, not ignored."""
+        events = tmp_path / "tiny.bin"
+        events.write_bytes(serialize_events_binary(
+            EventStream(4, 4, t=[10, 14, 20], x=[1, 2, 0], y=[1, 0, 2], p=[1, -1, 1])))
+        rc = main(["cells", "--events", str(events), "--dt-us", "3", "--geometry", geometry,
+                   "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        w, h = geometry.split("x")
+        assert err == f"error: geometry {w}x{h} disagrees with the event file's own 4x4\n"
+        assert not (tmp_path / "cells.npz").exists()
+
+    def test_geometry_matching_a_binary_header_is_accepted(self, tmp_path):
+        stream = EventStream(4, 4, t=[10, 14, 20], x=[1, 2, 0], y=[1, 0, 2], p=[1, -1, 1])
+        events = tmp_path / "tiny.bin"
+        events.write_bytes(serialize_events_binary(stream))
+        rc = main(["cells", "--events", str(events), "--dt-us", "3", "--geometry", "4x4",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert np.array_equal(load_cells(tmp_path / "cells.npz").grids,
+                              build_cells(stream, 3).grids)
 
     def test_geometry_beyond_int64_exits_2_with_one_line(self, tmp_path, capsys):
         events, _ = synth_csv(tmp_path)

@@ -6,6 +6,7 @@ a faster path; it lives only here. The kernels promise the same bits, not
 merely close values: BLAS and numpy sum in an order fixed by shape and
 layout, so equal inputs must give equal bytes.
 """
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -113,6 +114,38 @@ def test_scalar_steps_match_rows_of_one(cfg, reset, relaxed):
         assert all(same_bytes(a, b) for a, b in zip(scalar, rows))
 
 
+@pytest.mark.parametrize("relaxed", [False, True], ids=["hard", "relaxed"])
+@pytest.mark.parametrize("reset", [True, False], ids=["reset", "no-reset"])
+@pytest.mark.parametrize("step", [(), (3,), (2, 2, 3)], ids=["1-D", "2-D", "4-D"])
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_scan_writes_only_its_own_buffers(dtype, step, reset, relaxed):
+    """The scan reads the caller's v0 and writes only buffers of its own:
+    v0's bytes are unchanged, v_end shares no memory with out.data or
+    potentials, and out.data is potentials only without reset (the output
+    is then V itself). A second scan carried on from v_end changes none of
+    the first one's arrays. The 1-D float32 drive steps through the array
+    loop with 0-d steps, as rows of one value."""
+    r = np.random.default_rng(3)
+    drive = r.normal(0.6, 0.8, size=(2 * CHUNK + 1, *step)).astype(dtype)
+    cfg = NeuronConfig(beta=0.9, v_reset=-0.2)
+    modes = dict(reset=reset, relaxed=relaxed)
+    for v0 in (Tensor(r.normal(0.4, 0.5, size=step).astype(dtype)), None):
+        before = None if v0 is None else v0.data.copy()
+        out, v_end, potentials = ad.neuron_scan(Tensor(drive), v0, cfg, **modes)
+        assert v0 is None or same_bytes(v0.data, before)
+        assert out.shape == potentials.shape == drive.shape and v_end.shape == step
+        assert not np.shares_memory(v_end.data, out.data)
+        assert not np.shares_memory(v_end.data, potentials)
+        assert np.shares_memory(out.data, potentials) == (not reset)
+        first = [a.copy() for a in (out.data, v_end.data, potentials)]
+        ad.neuron_scan(Tensor(drive), v_end, cfg, **modes)
+        assert all(same_bytes(a, b) for a, b in zip(first, (out.data, v_end.data, potentials)))
+        v0_row = None if v0 is None else Tensor(before.reshape(-1))
+        rows = ad.neuron_scan(Tensor(drive.reshape(len(drive), -1)), v0_row, cfg, **modes)
+        assert all(same_bytes(a.reshape(b.shape), b) for a, b in
+                   zip((rows[0].data, rows[1].data, rows[2]), first))
+
+
 @given(st.sampled_from(DTYPES), st.data())
 @settings(max_examples=60, deadline=None)
 def test_surrogate_matches_division(dtype, data):
@@ -127,6 +160,38 @@ def test_surrogate_matches_division(dtype, data):
 # ---------------------------------------------------------------------------
 # pooling backward
 # ---------------------------------------------------------------------------
+
+def strided_block_mean(data, kh, kw):
+    """The block means as sums of strided views, block row by block row."""
+    total = None
+    for i in range(kh):
+        row = data[:, :, i::kh, 0::kw]
+        for j in range(1, kw):
+            row = row + data[:, :, i::kh, j::kw]
+        total = row if total is None else total + row
+    return total / (kh * kw)
+
+
+@given(st.sampled_from(DTYPES), st.data())
+@settings(max_examples=100, deadline=None)
+def test_pool_forward_matches_strided_row_sums(dtype, data):
+    """avg_pool (odd extents zero-padded on the high side) and the divisible
+    adaptive pool give the bytes of summing each block row by row, for
+    kernels 1-3 and every float, +-inf, NaN and -0.0 included."""
+    k = data.draw(st.integers(1, 3), label="k")
+    shape = (data.draw(st.integers(1, 3), label="n"), data.draw(st.integers(1, 3), label="c"),
+             data.draw(st.integers(1, 7), label="h"), data.draw(st.integers(1, 7), label="w"))
+    x = data.draw(hnp.arrays(dtype, shape, elements=floats(dtype)), label="x")
+    n, c, h, w = shape
+    padded = np.zeros((n, c, -(-h // k) * k, -(-w // k) * k), dtype=dtype)
+    padded[:, :, :h, :w] = x
+    kh = data.draw(st.sampled_from([d for d in range(1, 4) if h % d == 0]), label="kh")
+    kw = data.draw(st.sampled_from([d for d in range(1, 4) if w % d == 0]), label="kw")
+    with np.errstate(all="ignore"):     # inf + -inf
+        assert same_bytes(ad.avg_pool(Tensor(x), k).data, strided_block_mean(padded, k, k))
+        got = ad.adaptive_avg_pool(Tensor(x), (h // kh, w // kw)).data
+        assert same_bytes(got, strided_block_mean(x, kh, kw))
+
 
 @given(st.sampled_from(DTYPES), st.integers(1, 3), st.integers(1, 3), st.integers(1, 7),
        st.integers(1, 7), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
@@ -202,14 +267,40 @@ def window_col2im(dcols, padded_shape, kh, kw, oh, ow):
     return dpadded
 
 
-@given(st.sampled_from(DTYPES), st.integers(1, 3), st.integers(1, 3), st.integers(1, 9),
-       st.integers(1, 9), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_im2col_matches_window_view(dtype, n, c, h, w, kh, kw, seed):
-    padded = np.random.default_rng(seed).normal(size=(n, c, h + kh - 1, w + kw - 1)).astype(dtype)
-    cols, oh, ow = ad._im2col(padded, kh, kw)
+@given(st.sampled_from(DTYPES), st.data())
+@settings(max_examples=150, deadline=None)
+def test_im2col_matches_window_view(dtype, data):
+    """The columns of the unpadded input equal a copy of the zero-padded
+    input's window view byte for byte, for odd and even kernels, every
+    padding from none to wider than the kernel (the row-pitched gather
+    where rows fit the output's pitch, the padded copy where they do not)
+    and every float, +-inf, NaN and -0.0 included."""
+    kh, kw = data.draw(st.integers(1, 5), label="kh"), data.draw(st.integers(1, 5), label="kw")
+    padding = data.draw(st.integers(0, max(kh, kw)), label="padding")
+    h = data.draw(st.integers(max(1, kh - 2 * padding), 7), label="h")
+    w = data.draw(st.integers(max(1, kw - 2 * padding), 7), label="w")
+    shape = (data.draw(st.integers(1, 3), label="n"), data.draw(st.integers(1, 3), label="c"), h, w)
+    x = data.draw(hnp.arrays(dtype, shape, elements=floats(dtype)), label="x")
+    padded = np.zeros((*shape[:2], h + 2 * padding, w + 2 * padding), dtype=dtype)
+    padded[:, :, padding:padding + h, padding:padding + w] = x
+    cols, oh, ow = ad._im2col(x, kh, kw, padding)
     want, woh, wow = window_im2col(padded, kh, kw)
     assert (oh, ow) == (woh, wow) and same_bytes(cols, want)
+
+
+def test_im2col_on_every_small_geometry():
+    """Every kernel up to 7x7 with every padding up to 7 on inputs of 1-3
+    rows and columns, including windows that reach past both sides of a
+    row and past more than the row's width."""
+    r = np.random.default_rng(11)
+    for kh, kw, padding, h, w in itertools.product(range(1, 8), range(1, 8), range(8),
+                                                   range(1, 4), range(1, 4)):
+        if h + 2 * padding < kh or w + 2 * padding < kw:
+            continue
+        x = r.normal(size=(2, 2, h, w))
+        padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        want, oh, ow = window_im2col(padded, kh, kw)
+        assert same_bytes(ad._im2col(x, kh, kw, padding)[0], want), (kh, kw, padding, h, w)
 
 
 @given(st.sampled_from(DTYPES), st.integers(1, 8), st.sampled_from([1, 2, 16]),
