@@ -432,8 +432,11 @@ def linear(x, weight, bias=None, rows=None):
     (one row, or one output feature, takes a matrix-vector kernel), so with
     one block shape a row's result does not depend on how many rows share
     the call, and a sequence forwarded in pieces gives the same bits as
-    forwarded whole. The backward forms each gradient in one product over
-    all rows.
+    forwarded whole. The net's linear layers use 16-row blocks
+    (`snn.LinearLayer`): BLAS repacks the weight for every block, so for the
+    default net's 2 MB fc0 weight one 16-row product costs less than two
+    8-row ones. The backward forms each gradient in one product over all
+    rows.
     """
     if x.data.ndim != 2 or weight.data.ndim != 2:
         raise ShapeError(f"linear expects 2-d x and weight, got {x.data.shape}, {weight.data.shape}")
@@ -696,56 +699,65 @@ def _partition_mean(x, th, tw):
     return out
 
 
+def _dots(a, b):
+    """Dot products of a and b along their last axis, keeping it as size 1:
+    one BLAS dot per leading index, each summed in an order fixed by the
+    axis length alone."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
+
+
 def group_norm(x, groups, weight, bias, eps=1e-5):
     """Per-sample group normalization with per-channel affine (single node).
 
+    Every per-group and per-channel sum is a BLAS dot product (`_dots`).
+    The forward takes mu = dot(x, 1)/K over the K values of a group,
+    centered = x - mu, var = dot(centered, centered)/K and
+    inv = 1/sqrt(var + eps), and folds the affine into one scale = inv*weight
+    per (sample, channel): y = centered*scale + bias, two passes, with xhat
+    never formed.
+
     Backward uses the closed form for mean/variance normalization (Wu & He,
-    Group Normalization, 2018): with gy = weight*g and M values per group,
-    dL/dx = inv * (gy - mean(gy) - xhat * mean(gy * xhat)) per group. Both
-    means, dweight and dbias follow from two sums per (sample, channel),
-    S1 = sum(g) and S2 = sum(g * xhat), so dx = B*xhat + C + A*g with
-    B = -inv*mean(gy*xhat), C = -inv*mean(gy) and A = inv*weight per
-    (sample, channel): two reductions and three passes over the block.
+    Group Normalization, 2018): with gy = weight*g,
+    dL/dx = inv * (gy - m1 - xhat*m2) per group, m1 = mean(gy) and
+    m2 = mean(gy*xhat). Both means, dweight and dbias follow from two dot
+    products per (sample, channel), sum(g) and sum(g*centered), so g*xhat is
+    never formed either; then dx = g*scale + centered*B + C with
+    B = -inv**2 * m2 and C = -inv*m1 per group. The backward overwrites the
+    saved `centered` with centered*B + C, as a graph is back-propagated once.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"group_norm expects 4-d input, got {x.data.shape}")
     n, c, h, w = x.data.shape
     if c % groups:
         raise ShapeError(f"group_norm: {c} channels not divisible into {groups} groups")
-    xg = x.data.reshape(n, groups, -1)
-    mu = xg.mean(axis=2, keepdims=True)
+    per, hw = c // groups, h * w
+    size = per * hw
+    xg = x.data.reshape(n, groups, size)
+    mu = _dots(xg, np.ones(size, dtype=xg.dtype)) / size
     centered = xg - mu
-    var = (centered * centered).mean(axis=2, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    centered *= inv
-    xhat = centered.reshape(n, c, h, w)
-    w_col = weight.data.reshape(1, c, 1, 1)
-    y = xhat * w_col
-    y += bias.data.reshape(1, c, 1, 1)
-    out = _node(y, (x, weight, bias))
+    inv = 1.0 / np.sqrt(_dots(centered, centered) / size + eps)
+    w_g = weight.data.reshape(groups, per)
+    scale = (inv * w_g).reshape(n, c, 1)
+    y = centered.reshape(n, c, hw) * scale
+    y += bias.data.reshape(1, c, 1)
+    out = _node(y.reshape(n, c, h, w), (x, weight, bias))
     if out.requires_grad:
-        per = c // groups
-        xhat_c = centered.reshape(n, c, h * w)
-
         def _bw(g):
-            g_c = g.reshape(n, c, h * w)
-            # the buffer of g*xhat becomes dx: a second kept buffer, placed
-            # above the small gradients stored in between, would leave a
-            # block-sized hole in the heap when this one is freed
-            dx = g_c * xhat_c
-            s1, s2 = g_c.sum(axis=2), dx.sum(axis=2)
+            g_c = g.reshape(n, c, hw)
+            s1 = _dots(g_c, np.ones(hw, dtype=g.dtype)).reshape(n, groups, per)
+            s2 = _dots(g_c, centered.reshape(n, c, hw)).reshape(n, groups, per)
             if weight.requires_grad:
-                _accum(weight, s2.sum(axis=0).reshape(weight.data.shape))
+                # sum(g*xhat) = inv * sum(g*centered)
+                _accum(weight, (s2 * inv).sum(axis=0).reshape(weight.data.shape))
             if bias.requires_grad:
                 _accum(bias, s1.sum(axis=0).reshape(bias.data.shape))
             if x.requires_grad:
-                w_g = weight.data.reshape(groups, per)
-                size = per * h * w
-                m1 = (s1.reshape(n, groups, per) * w_g).sum(axis=2, keepdims=True) / size
-                m2 = (s2.reshape(n, groups, per) * w_g).sum(axis=2, keepdims=True) / size
-                np.multiply(xhat_c, np.repeat(-inv * m2, per, axis=1), out=dx)
-                dx += np.repeat(-inv * m1, per, axis=1)
-                dx += g_c * (inv * w_g).reshape(n, c, 1)
+                m1 = (s1 * w_g).sum(axis=2, keepdims=True) / size
+                m2 = inv * (s2 * w_g).sum(axis=2, keepdims=True) / size
+                t = np.multiply(centered, -inv * inv * m2, out=centered)
+                t += -inv * m1
+                dx = g_c * scale
+                dx += t.reshape(n, c, hw)
                 _accum(x, dx.reshape(n, c, h, w))
         out._backward = _bw
     return out
@@ -889,17 +901,25 @@ def neuron_scan(current, v0, neuron, reset=True, relaxed=False):
     Both time loops, forward and reverse, run on one of two kinds of step,
     chosen by the shape of one step. A step of a 1-D float64 drive (the
     output neuron's) is one number, for which a NumPy op costs far more than
-    its arithmetic: those loops run on Python floats, the same IEEE doubles
-    in the same order, so they give the same bytes. Every other step is an
-    array row, and the forward writes each step in place (`_scan_rows`).
+    its arithmetic: unless the drive and v0 hold a NaN (or both
+    infinities) between them, those loops run on Python floats, the same
+    IEEE doubles in the same order, so they give the same bytes. Every other
+    step is an array row, and the forward writes each step in place
+    (`_scan_rows`).
     """
     beta, gamma, v_reset = neuron.beta, neuron.gamma, neuron.v_reset
     v_th, window = neuron.v_th, neuron.surrogate_window
     drive = current.data if gamma == 1.0 else gamma * current.data
     v = v_reset if v0 is None else v0.data
-    floats = drive.ndim == 1 and drive.dtype == np.float64
+    steps = drive.tolist() if drive.ndim == 1 and drive.dtype == np.float64 else None
+    # Where two NaNs meet, Python's float arithmetic and the array ufuncs
+    # may keep different ones; a NaN-free drive and v0 only ever make the
+    # one default NaN, so both loops give the same bytes. Their sum is NaN
+    # if either holds one (or holds both infinities, which the array loop
+    # takes as well).
+    floats = steps is not None and not math.isnan(sum(steps, float(v)))
     if floats:
-        steps, v, top = drive.tolist(), float(v), float(np.finfo(drive.dtype).max)
+        v, top = float(v), float(np.finfo(drive.dtype).max)
         potentials = [0.0] * len(steps)
         spikes = [0.0] * len(steps) if reset else None
         for t in range(len(steps)):

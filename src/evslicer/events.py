@@ -80,8 +80,10 @@ class EventStream:
                 raise EventFormatError(
                     f"event coordinates exceed geometry {self.width}x{self.height}"
                 )
-            bad = np.setdiff1d(np.unique(self.p), np.array([-1, 1], dtype=np.int8))
-            if bad.size:
+            # one pass over the events; only a refusal sorts them to list the values
+            ok = (self.p == 1) | (self.p == -1)
+            if not ok.all():
+                bad = np.unique(self.p[~ok])
                 raise EventFormatError(f"polarity values outside {{-1,1}}: {bad.tolist()}")
             if lo < self.t0 or hi > self.t0 + self.span_us:
                 raise EventFormatError("event timestamps fall outside [t0, t0 + span]")

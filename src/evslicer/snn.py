@@ -52,7 +52,9 @@ DEFAULT_ARCH = "16C3-GN-IF-AvgP2-32C3-GN-IF-AvgP2-64C3-GN-IF-AdaP2-LN-IF-LN-IF"
 # fewer graph nodes per sequence, shorter ones a smaller working set without
 # a graph (the activations of one block). Training the default net on 30
 # cells ran as fast with 8 as with 15, and a 90-cell forward without a graph
-# peaked 6 MB lower. The linear layers multiply in products of CHUNK rows.
+# peaked 6 MB lower. The linear layers, which run on all rows at once,
+# multiply in products of 2 * CHUNK rows: fc0's weight is repacked for every
+# product, and a 16-row product costs less than two 8-row ones.
 CHUNK = 8
 
 # A net whose numbers outgrow its dtype carries inf or NaN on, unwarned: the
@@ -232,7 +234,7 @@ class LinearLayer:
         if x.ndim > 2:
             x = x.reshape(x.shape[0], -1)
         # one product shape for every row keeps keep_state splits bit-exact
-        return ad.linear(x, self.weight, self.bias, rows=CHUNK)
+        return ad.linear(x, self.weight, self.bias, rows=2 * CHUNK)
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,41 @@ def test_group_norm_grads(seed):
     assert check_grads(loss, [x, w, b]) <= 1e-4
 
 
+@pytest.mark.parametrize("offset", [0.5, 20.0])
+@pytest.mark.parametrize("hw", [(32, 32), (180, 240)], ids=["32x32", "180x240"])
+def test_float32_group_norm_matches_float64_reference(hw, offset):
+    """float32 group norm, with its sums as float32 dot products, stays
+    within 1e-5 relative (largest error over largest value) of the textbook
+    form in float64 on the same inputs: y, dx, dweight and dbias, on
+    sensor-sized planes and on inputs whose mean is far from zero."""
+    n, c, groups = 2, 8, 4
+    r = rng_for(7)
+    x32 = (r.normal(size=(n, c, *hw)) + offset).astype(np.float32)
+    w32, b32 = r.normal(size=c).astype(np.float32), r.normal(size=c).astype(np.float32)
+    g32 = r.normal(size=x32.shape).astype(np.float32)
+    x, w, b = (Tensor(a, requires_grad=True) for a in (x32, w32, b32))
+    y = group_norm(x, groups, w, b)
+    y._backward(g32)
+
+    x64, w64, b64, g64 = (a.astype(np.float64) for a in (x32, w32, b32, g32))
+    xg = x64.reshape(n, groups, -1)
+    centered = xg - xg.mean(axis=2, keepdims=True)
+    inv = 1.0 / np.sqrt((centered ** 2).mean(axis=2, keepdims=True) + 1e-5)
+    xhat = (centered * inv).reshape(x32.shape)
+    gy = (g64 * w64.reshape(1, c, 1, 1)).reshape(n, groups, -1)
+    xh = xhat.reshape(n, groups, -1)
+    dx = inv * (gy - gy.mean(axis=2, keepdims=True) - xh * (gy * xh).mean(axis=2, keepdims=True))
+    want = {"y": xhat * w64.reshape(1, c, 1, 1) + b64.reshape(1, c, 1, 1),
+            "dx": dx.reshape(x32.shape),
+            "dweight": (g64 * xhat).sum(axis=(0, 2, 3)),
+            "dbias": g64.sum(axis=(0, 2, 3))}
+    got = {"y": y.data, "dx": x.grad, "dweight": w.grad, "dbias": b.grad}
+    for name, ref in want.items():
+        assert got[name].dtype == np.float32, name
+        err = np.abs(got[name] - ref).max() / np.abs(ref).max()
+        assert err <= 1e-5, (name, err)
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=15, deadline=None)
 def test_linear_and_elementwise_grads(seed):

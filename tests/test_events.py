@@ -530,6 +530,15 @@ def test_parse_dispatch_and_geometry_validation():
         parse_events(b"", "hdf5")
 
 
+def test_polarity_outside_plus_minus_one_is_refused_with_the_values():
+    """Every event's polarity is checked; the message lists each offending
+    value once, in ascending order."""
+    assert len(make_stream([[0, 0, 0, 1], [1, 0, 0, -1]])) == 2
+    with pytest.raises(EventFormatError, match=r"polarity values outside \{-1,1\}: \[-3, 0, 2\]$"):
+        make_stream([[0, 0, 0, 1], [1, 0, 0, 2], [2, 0, 0, 0], [3, 0, 0, -1], [4, 0, 0, 2],
+                     [5, 0, 0, -3]])
+
+
 @pytest.mark.parametrize("width, height", [(0, 8), (8, 0), (-1, 8)])
 def test_geometry_needs_a_pixel_each_way(width, height):
     with pytest.raises(EventFormatError, match="at least one pixel each way"):

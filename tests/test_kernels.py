@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from evslicer import autodiff as ad
@@ -64,9 +64,19 @@ def scan_inputs(draw):
     return drive, v0, draw(st.sampled_from([1.0, 0.9])), v_th
 
 
+def f64(*bits):
+    """float64 values from their exact bit patterns (NaN payloads included)."""
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
 @pytest.mark.parametrize("v_reset", [0.0, -0.4, 0.4])
 @given(scan_inputs())
 @settings(max_examples=100, deadline=None)
+# NaN payloads meeting in the output neuron's 1-D float64 steps
+@example(case=(f64(0xfff0000000000000, 0x7ff8000000000123, 0xc35d61a88bf91b74, 0xfff0000000000000),
+               f64(0x7ff0000000000000).reshape(()), 0.9, 1.0))
+@example(case=(f64(0xfff8000000000001, 0x7ff0000000000000, 0x7ff0000000000000, 0x7ff8000000000000),
+               f64(0xc3547e266b20edc2).reshape(()), 0.9, 1.0))
 def test_hard_reset_matches_where(v_reset, case):
     """Spikes, pre-reset potentials and the carried potential equal the
     np.where form's bytes, for every float including +-inf, NaN, +-0 and
@@ -335,25 +345,36 @@ def test_conv_matches_replaced_forms(dtype, n, cin, cout, hw, seed):
        st.sampled_from([(1, 1), (4, 4), (5, 3)]), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_group_norm_matches_out_of_place_form(dtype, n, channels, hw, seed):
-    """The forward keeps the out-of-place form's bytes. The backward's
-    closed form (two sums per channel, then B*xhat + C + A*g) rounds in
-    other places than inv * (gy - mean(gy) - xhat * mean(gy * xhat)), so dx
-    is compared within 8 ulp of the group's scale inv * max|weight * g|."""
+    """The forward keeps the bytes of the out-of-place form with every sum a
+    dot product, taken here one group or channel at a time with np.dot. The
+    backward's closed form (two dot products per channel, then
+    g*scale + centered*B + C) rounds in other places than
+    inv * (gy - mean(gy) - xhat * mean(gy * xhat)), so dx is compared, from
+    the same centered and inv, within 8 ulp of the group's scale
+    inv * max|weight * g|."""
     c, groups = channels
     r = np.random.default_rng(seed)
     x = Tensor(r.normal(size=(n, c, *hw)).astype(dtype), requires_grad=True)
     w = Tensor(r.normal(size=c).astype(dtype), requires_grad=True)
     b = Tensor(r.normal(size=c).astype(dtype), requires_grad=True)
     y = ad.group_norm(x, groups, w, b)
+
+    def dots(a, b):
+        return np.array([[np.dot(u, v) for u, v in zip(ra, rb)]
+                         for ra, rb in zip(a, np.broadcast_to(b, a.shape))],
+                        dtype=dtype)[..., None]
+
     xg = x.data.reshape(n, groups, -1)
-    centered = xg - xg.mean(axis=2, keepdims=True)
-    inv = 1.0 / np.sqrt((centered * centered).mean(axis=2, keepdims=True) + 1e-5)
-    xhat = (centered * inv).reshape(x.shape)
-    w_col = w.data.reshape(1, c, 1, 1)
-    assert same_bytes(y.data, xhat * w_col + b.data.reshape(1, c, 1, 1))
+    size = xg.shape[2]
+    centered = xg - dots(xg, np.ones(size, dtype)) / size
+    inv = 1.0 / np.sqrt(dots(centered, centered) / size + 1e-5)
+    scale = (inv * w.data.reshape(groups, -1)).reshape(n, c, 1)
+    want = centered.reshape(n, c, -1) * scale + b.data.reshape(1, c, 1)
+    assert same_bytes(y.data, want.reshape(x.shape))
     g = r.normal(size=y.shape).astype(dtype)
     y._backward(g)
-    gy, xh = (g * w_col).reshape(n, groups, -1), xhat.reshape(n, groups, -1)
+    w_col = w.data.reshape(1, c, 1, 1)
+    gy, xh = (g * w_col).reshape(n, groups, -1), centered * inv
     m1, m2 = gy.mean(axis=2, keepdims=True), (gy * xh).mean(axis=2, keepdims=True)
     want = np.multiply(inv, gy - m1 - xh * m2)
     tol = 8 * np.spacing(inv * np.abs(gy).max(axis=2, keepdims=True))

@@ -283,10 +283,12 @@ def test_default_float32_net_splits_are_bit_exact(seed, split):
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-@pytest.mark.parametrize("sizes", [(13, 8), (3, 5, 13)], ids=["13+8", "3+5+13"])
+@pytest.mark.parametrize("sizes", [(13, 8), (3, 5, 13), (17, 20), (1, 16, 18)],
+                         ids=["13+8", "3+5+13", "17+20", "1+16+18"])
 def test_splits_off_the_block_grid_are_bit_exact(sizes, dtype):
     """A spatial stack and a flat tail with a hidden spiking layer: keep_state
-    pieces that do not line up with CHUNK give the one-shot forward's bytes."""
+    pieces that do not line up with CHUNK, or with the linear layers'
+    2 * CHUNK-row products, give the one-shot forward's bytes."""
     net = SlicerNet("8C3-GN-IF-AvgP2-LN-LIF-LN-IF", in_hw=(8, 8), hidden_units=64, seed=4,
                     neuron=NeuronConfig(beta=0.9, v_reset=-0.2), init_gain=2.0, dtype=dtype)
     cells = random_cells(4, sum(sizes))
