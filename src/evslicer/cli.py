@@ -284,8 +284,11 @@ def cmd_train(args):
                "samples": res.samples, "skipped": res.skipped,
                "alpha_final": res.alpha_final, "elapsed_s": round(res.elapsed_s, 3)}
     result_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    write_manifest(out_dir, "train feedback", dataclasses.asdict(cfg), cfg.seed,
-                   {f"events{i}": p for i, p in enumerate(args.events)},
+    inputs = {f"events{i}": p for i, p in enumerate(args.events)}
+    if args.init_checkpoint:
+        inputs["init_checkpoint"] = args.init_checkpoint
+    config = dataclasses.asdict(cfg) | {"oracle": args.oracle, "target_events": args.target_events}
+    write_manifest(out_dir, "train feedback", config, cfg.seed, inputs,
                    {"history": history_path, "result": result_path, "checkpoint": ckpt},
                    started)
     print(f"feedback: {res.samples} samples ({res.skipped} skipped), "
@@ -437,7 +440,6 @@ def cmd_report(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--out-dir", default=".", help="artifact directory")
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", type=int64, default=1,
@@ -477,6 +479,7 @@ def build_parser():
     p_train = sub.add_parser("train", parents=[common, stream_flags],
                              help="warm-up arena or oracle-feedback training")
     p_train.add_argument("task", choices=("arena-i", "arena-ii", "feedback"))
+    p_train.add_argument("--config", help="JSON config file; flags override it")
     # no default here: a seed from --config applies unless the flag is given
     p_train.add_argument("--seed", type=int64, help="run seed (default 0)")
     p_train.add_argument("--arch", help="architecture string")

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 # render stays a name of this module: perfbench's tracing test patches slicer.render
 from .events import Representation, build_cells, event_density, render, render_cells  # noqa: F401
-from .snn import first_spike_index
+from .snn import CHUNK
 
 __all__ = [
     "SliceDecision", "spike_cuts", "decisions_from_cuts", "slice_stream",
@@ -56,27 +56,27 @@ class SliceDecision:
 def spike_cuts(net, cells, reset_per_slice=False):
     """Output-spike steps over a cell sequence (the right edges of slices).
 
-    Default: one continuous forward pass — neuron state carries across
-    slices. reset_per_slice re-runs from a fresh state after every cut
-    (ablation mode); note the hidden layers then see only the current
-    segment.
+    The net starts at rest and runs 2 * CHUNK cells per forward, each one
+    continuing the last one's state (`keep_state`: bit for bit one forward
+    over the whole sequence), so its working set does not grow with the
+    stream. Every spike is a cut. reset_per_slice (the ablation) cuts at the
+    first spike instead, resets the net and resumes at the next cell, so the
+    hidden layers see only the current segment.
     """
     grids = cells.grids
-    n = grids.shape[0]
+    cuts, pos = [], 0
+    net.reset_state()
     with ad.no_grad():
-        if not reset_per_slice:
-            record = net.forward(grids)
-            return [int(i) for i in np.flatnonzero(record.spikes)]
-        cuts = []
-        start = 0
-        while start < n:
-            record = net.forward(grids[start:])
-            idx = first_spike_index(record)
-            if idx is None:
-                break
-            cuts.append(start + idx)
-            start += idx + 1
-        return cuts
+        while pos < len(grids):
+            hits = np.flatnonzero(net.forward(grids[pos:pos + 2 * CHUNK], keep_state=True).spikes)
+            if reset_per_slice and hits.size:
+                cuts.append(pos + int(hits[0]))
+                pos = cuts[-1] + 1
+                net.reset_state()
+            else:
+                cuts.extend(pos + int(i) for i in hits)
+                pos += 2 * CHUNK
+    return cuts
 
 
 def decisions_from_cuts(stream, cells, cuts, repr_kind="frame", *,

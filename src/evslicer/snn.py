@@ -48,11 +48,11 @@ from .schema import check_fields, declared, from_json
 DEFAULT_ARCH = "16C3-GN-IF-AvgP2-32C3-GN-IF-AvgP2-64C3-GN-IF-AdaP2-LN-IF-LN-IF"
 
 # Cells per time-major block of the spatial stack; the flat tail, whose
-# per-cell footprint is small, runs on all cells at once. Longer blocks mean
-# fewer graph nodes per sequence, shorter ones a smaller working set without
-# a graph (the activations of one block). Training the default net on 30
-# cells ran as fast with 8 as with 15, and a 90-cell forward without a graph
-# peaked 6 MB lower. The linear layers, which run on all rows at once,
+# per-cell footprint is small, runs on all cells of a forward at once. Longer
+# blocks mean fewer graph nodes per sequence, shorter ones a smaller working
+# set. Training the default net on 30 cells ran as fast with 8 as with 15.
+# Slicing (`slicer.spike_cuts`) forwards 2 * CHUNK cells at a time with carried
+# state, so its working set does not grow with the stream. The linear layers
 # multiply in products of 2 * CHUNK rows: fc0's weight is repacked for every
 # product, and a 16-row product costs less than two 8-row ones.
 CHUNK = 8
@@ -436,11 +436,13 @@ class SlicerNet:
         if not keep_state:
             self.reset_state()
         self._set_relaxed(relaxed)
-        with np.errstate(**OVERFLOW_SILENT):
-            currents = self.body(grids)
-            spikes, potentials = self.head.run(currents.data)
-            noreset = self.head.trace(currents)
-        self._set_relaxed(False)
+        try:
+            with np.errstate(**OVERFLOW_SILENT):
+                currents = self.body(grids)
+                spikes, potentials = self.head.run(currents.data)
+                noreset = self.head.trace(currents)
+        finally:   # a forward that raises leaves no layer relaxed
+            self._set_relaxed(False)
         return SpikeRecord(spikes=spikes, potentials=potentials,
                            noreset=noreset, currents=currents.data)
 

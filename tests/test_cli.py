@@ -446,6 +446,21 @@ class TestTrain:
         assert result["task"] == "feedback" and result["samples"] == 8
         assert (tmp_path / "checkpoint.sslc").exists()
 
+    def test_feedback_manifest_names_what_it_trained_against(self, tmp_path):
+        """The manifest records the starting checkpoint among the inputs and
+        the oracle and its event target in the config."""
+        events, _ = synth_csv(tmp_path, duration_ms=120, rate_per_ms=[[0, 120, 2.0]])
+        ckpt = micro_checkpoint(tmp_path)
+        rc = main(["train", "feedback", "--events", str(events), "--geometry", "8x8",
+                   "--oracle", "density", "--target-events", "77", "--init-checkpoint", str(ckpt),
+                   "--dt-us", "5000", "--epochs", "1", "--samples-per-epoch", "2",
+                   "--window", "6", "--lr", "1e-4", "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["inputs"] == {"events0": str(events), "init_checkpoint": str(ckpt)}
+        assert manifest["config"]["oracle"] == "density"
+        assert manifest["config"]["target_events"] == 77
+
     def test_hw_is_width_by_height(self, tmp_path):
         """--hw reads WxH as --geometry does, so a 16x8 net slices 16x8 cells."""
         assert main(["train", "arena-i", "--arch", "LN-IF", "--hw", "16x8", "--n-steps", "6",
@@ -754,6 +769,18 @@ class TestParser:
             main(command + ["--out-dir", str(tmp_path), "--jobs", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["synth", "--scenario", "s.json"],
+        ["cells", "--events", "e.csv", "--dt-us", "1000"],
+        ["slice", "--checkpoint", "c.sslc", "--events", "e.csv", "--dt-us", "1000"],
+        ["report", "density", "--events", "e.csv"],
+    ], ids=lambda c: c[0])
+    def test_config_is_a_train_flag_only(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--out-dir", str(tmp_path), "--config", str(tmp_path / "no.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ["cells", "--dt-us", str(2 ** 70), "--n-cells", "5"],

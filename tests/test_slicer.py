@@ -1,12 +1,15 @@
 """Slicing-loop tests: the frozen partition example, tail policies, decision
-invariants, report statistics, and the baseline cut policies."""
+invariants, the piecewise forward in both modes, report statistics, and the
+baseline cut policies."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evslicer.autodiff import Tensor
-from evslicer.events import EventStream, build_cells
+from evslicer.autodiff import Tensor, no_grad
+from evslicer.events import CellSequence, EventStream, build_cells
 from evslicer.slicer import (
     decision_record,
     decisions_from_cuts,
@@ -18,18 +21,28 @@ from evslicer.slicer import (
     slice_stream,
     spike_cuts,
 )
-from evslicer.snn import SlicerNet, SpikeRecord
+from evslicer.snn import DEFAULT_ARCH, LinearLayer, SlicerNet, SpikeRecord
 
 
 class ScriptedNet:
-    """Stand-in net that spikes at fixed absolute steps (continuous mode)."""
+    """Stand-in net that spikes at fixed steps, counted from its last reset:
+    a keep_state forward continues the count, as a real net's state does, so
+    the steps are absolute within one run from rest."""
 
     def __init__(self, spike_steps):
         self.spike_steps = set(spike_steps)
+        self.step = 0
+
+    def reset_state(self):
+        self.step = 0
 
     def forward(self, grids, relaxed=False, keep_state=False):
+        if not keep_state:
+            self.reset_state()
         n = grids.shape[0]
-        spikes = np.array([1 if i in self.spike_steps else 0 for i in range(n)], dtype=np.int8)
+        steps = range(self.step, self.step + n)
+        self.step += n
+        spikes = np.array([1 if i in self.spike_steps else 0 for i in steps], dtype=np.int8)
         return SpikeRecord(spikes=spikes, potentials=np.zeros(n), noreset=Tensor(np.zeros(n)),
                            currents=np.zeros(n))
 
@@ -142,6 +155,71 @@ class TestPartition:
         net = count_net(per_event=0.09)
         cells = build_cells(stream, 100)
         assert spike_cuts(net, cells) == spike_cuts(net, cells, reset_per_slice=True)
+
+
+def firing_net(arch, dtype):
+    """An 8x8 net whose hidden layers hold state and whose output neuron
+    fires every few cells: the last linear layer's bias drives it."""
+    net = SlicerNet(arch, in_hw=(8, 8), seed=1, init_gain=1.5, dtype=dtype)
+    [layer for layer in net.layers if isinstance(layer, LinearLayer)][-1].bias.data[:] = 0.4
+    return net
+
+
+def random_cells(n, seed=5, hw=8):
+    grids = np.random.default_rng(seed).poisson(0.5, size=(n, 2, hw, hw)).astype(np.float64)
+    return CellSequence(grids=grids, t0=0, dt_us=100)
+
+
+def reference_reset_cuts(net, cells):
+    """The reset ablation as a one-shot forward of the rest of the sequence,
+    from rest, after every cut: quadratic in the sequence's length."""
+    cuts, start = [], 0
+    with no_grad():
+        while start < len(cells):
+            hits = np.flatnonzero(net.forward(cells.grids[start:]).spikes)
+            if not hits.size:
+                break
+            cuts.append(start + int(hits[0]))
+            start = cuts[-1] + 1
+    return cuts
+
+
+class TestSlicingLoop:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("arch", ["4C3-IF-LN-IF", DEFAULT_ARCH],
+                             ids=["4C3-IF-LN-IF", "default"])
+    def test_reset_mode_matches_the_rest_forwarded_from_rest(self, arch, dtype):
+        net = firing_net(arch, dtype)
+        cells = random_cells(40)
+        cuts = spike_cuts(net, cells, reset_per_slice=True)
+        assert len(cuts) >= 4
+        # the hidden layers' state makes the modes differ, so this tells them apart
+        assert cuts != spike_cuts(net, cells)
+        assert cuts == reference_reset_cuts(net, cells)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33, 40])
+    def test_default_mode_equals_one_pass(self, n, dtype):
+        net = firing_net("4C3-IF-LN-IF", dtype)
+        cells = random_cells(n)
+        want = np.flatnonzero(net.forward(cells.grids).spikes).tolist()
+        assert n < 17 or len(want) >= 2
+        assert spike_cuts(net, cells) == want
+
+    def test_memory_is_flat_in_stream_length(self):
+        """The forward holds one piece of cells at a time, so a stream eight
+        times longer peaks within 64 KiB of the shorter one's peak."""
+        net = SlicerNet()
+        peaks = []
+        for n in (32, 256):
+            cells = random_cells(n, seed=n, hw=32)
+            tracemalloc.start()
+            try:
+                spike_cuts(net, cells)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 64 * 1024, peaks
 
 
 class TestRepresentations:

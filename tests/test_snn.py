@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evslicer import autodiff as ad
-from evslicer.autodiff import CheckpointError, Tensor, load_named_tensors
+from evslicer.autodiff import CheckpointError, ShapeError, Tensor, load_named_tensors
+from evslicer.energy import profile_network
 from evslicer.snn import (
     CHUNK, DEFAULT_ARCH, NeuronConfig, SlicerNet, first_spike_index,
     parse_architecture, run_neuron,
@@ -397,6 +398,19 @@ def test_relaxed_mode_changes_hidden_spikes_only_in_forward():
     hard = net.forward(cells)
     relaxed = net.forward(cells, relaxed=True)
     assert not np.allclose(hard.noreset.data, relaxed.noreset.data)
+
+
+def test_failed_relaxed_forward_leaves_no_layer_relaxed():
+    """A relaxed forward that raises (here on a geometry mismatch) restores
+    the hard threshold, so a later walk of the body, such as the energy
+    profile's, gives the same numbers as before it."""
+    net = SlicerNet("4C3-IF-LN-IF", in_hw=(8, 8), seed=0, init_gain=1.5, dtype="float64")
+    cells = random_cells(3, 12)
+    before = [s.fr for s in profile_network(net, cells)]
+    with pytest.raises(ShapeError):
+        net.forward(np.zeros((3, 2, 4, 4)), relaxed=True)
+    assert not any(getattr(layer, "relaxed", False) for layer in net.layers)
+    assert [s.fr for s in profile_network(net, cells)] == before
 
 
 def test_different_seeds_give_different_weights():
