@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import ctypes
 import dataclasses
 import json
 import sys
@@ -28,7 +29,6 @@ from . import __version__
 from .autodiff import save_named_tensors
 from .energy import energy_report, profile_network
 from .events import (
-    CellSequence,
     Scenario,
     build_cells,
     density_profile,
@@ -65,10 +65,50 @@ def _utc_now():
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def blas_info():
+    """The BLAS NumPy was built with (name, version), and the kernel and
+    thread count OpenBLAS reports at run time. Both fix the order in which a
+    product is summed, so seeded results hold per kernel and thread count.
+    A value that cannot be read is None: NumPy before 1.26 lists no build
+    dependencies, and only an OpenBLAS mapped into this process names its
+    kernel, under a symbol prefix and suffix that vary by build."""
+    try:
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        build = {}
+    info = {"name": build.get("name"), "version": build.get("version"),
+            "kernel": None, "threads": None}
+    lib = _mapped_openblas()
+    if lib is None:
+        return info
+    for key, stem, restype in (("kernel", "openblas_get_corename", ctypes.c_char_p),
+                               ("threads", "openblas_get_num_threads", ctypes.c_int)):
+        names = [pre + stem + suf for pre in ("", "scipy_") for suf in ("", "64_")]
+        fn = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+        if fn is not None:
+            fn.argtypes, fn.restype = (), restype
+            value = fn()
+            info[key] = value.decode() if isinstance(value, bytes) else value
+    return info
+
+
+def _mapped_openblas():
+    """The first OpenBLAS library in this process's memory map, or None."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+        paths = (line.split(maxsplit=5)[-1] for line in maps.splitlines() if "/" in line)
+        path = next((p for p in paths if "openblas" in Path(p).name.lower()), None)
+        return None if path is None else ctypes.CDLL(path)
+    except OSError:
+        return None
+
+
 def write_manifest(out_dir, command, config, seed, inputs, outputs, started_at):
     """One manifest per run; identical inputs reproduce identical artifacts
-    byte-for-byte (the two timestamps are the only run-varying fields)."""
+    byte-for-byte (the two timestamps are the only run-varying fields; the
+    BLAS record varies by host)."""
     manifest = {
+        "blas": blas_info(),
         "command": command,
         "config": config,
         "seed": seed,
@@ -188,14 +228,6 @@ def cmd_cells(args):
     counts = cells.counts()
     print(f"{len(cells)} cells of {args.dt_us} us, {int(counts.sum())} events binned -> {out}")
     return 0
-
-
-def load_cells(path):
-    """Round-trip reader for the cells artifact."""
-    with np.load(path) as data:
-        return CellSequence(grids=data["grids"], t0=int(data["t0"]),
-                            dt_us=int(data["dt_us"]),
-                            dropped_tail_events=int(data["dropped_tail_events"]))
 
 
 # ---------------------------------------------------------------------------

@@ -372,9 +372,6 @@ class SlicerNet:
     def parameters(self):
         return list(self.named_parameters().values())
 
-    def parameter_count(self):
-        return sum(p.size for p in self.parameters())
-
     # -- state ---------------------------------------------------------------
 
     def reset_state(self):

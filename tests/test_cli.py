@@ -7,9 +7,11 @@ import struct
 import numpy as np
 import pytest
 
+from evslicer import cli
 from evslicer.autodiff import load_named_tensors
-from evslicer.cli import load_cells, main
+from evslicer.cli import main
 from evslicer.events import (
+    CellSequence,
     EventStream,
     Scenario,
     build_cells,
@@ -48,6 +50,14 @@ def synth_csv(tmp_path, name="events.csv", seed=0, **over):
     return path, parsed
 
 
+def load_cells(path):
+    """The CellSequence a `cells` run wrote to path."""
+    with np.load(path) as data:
+        return CellSequence(grids=data["grids"], t0=int(data["t0"]),
+                            dt_us=int(data["dt_us"]),
+                            dropped_tail_events=int(data["dropped_tail_events"]))
+
+
 def micro_checkpoint(tmp_path, bias=None, seed=0):
     net = SlicerNet("LN-IF", in_hw=(8, 8), seed=seed)
     if bias is not None:
@@ -71,6 +81,28 @@ class TestSynth:
         assert manifest["seed"] == 7
         assert manifest["code_version"]
         assert manifest["outputs"]["events"] == str(out)
+
+    def test_manifest_records_the_blas(self, tmp_path):
+        """The BLAS build as NumPy lists it, and the kernel and thread count
+        an OpenBLAS reports; null where a value cannot be read."""
+        main(["synth", "--scenario", str(scenario_json(tmp_path)), "--out-dir", str(tmp_path)])
+        blas = json.loads((tmp_path / "manifest.json").read_text())["blas"]
+        assert set(blas) == {"name", "version", "kernel", "threads"}
+        try:
+            build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except (TypeError, KeyError):
+            build = {}
+        assert (blas["name"], blas["version"]) == (build.get("name"), build.get("version"))
+        if "openblas" in str(blas["name"]).lower():
+            assert isinstance(blas["kernel"], str) and blas["kernel"]
+            assert isinstance(blas["threads"], int) and blas["threads"] >= 1
+
+    def test_blas_values_that_cannot_be_read_are_null(self, monkeypatch):
+        def no_mode(mode="stdout"):
+            raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+        monkeypatch.setattr(np, "show_config", no_mode)
+        monkeypatch.setattr(cli, "_mapped_openblas", lambda: None)
+        assert cli.blas_info() == {"name": None, "version": None, "kernel": None, "threads": None}
 
     def test_deterministic_rerun(self, tmp_path):
         sc = scenario_json(tmp_path)
@@ -259,6 +291,16 @@ class TestCells:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: line 3: ") and err.count("\n") == 1
+
+    def test_csv_byte_that_is_not_utf8_exits_2_naming_its_line(self, tmp_path, capsys):
+        events = tmp_path / "bad.csv"
+        events.write_bytes(b"t_us,x,y,p\n1,2,3,1\n\xff,1,1,1\n")
+        rc = main(["cells", "--events", str(events), "--geometry", "8x8", "--dt-us", "5",
+                   "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("error:") == 1 and err.count("\n") == 1
+        assert err.startswith("error: line 3: ")
 
 
 class TestTrain:

@@ -367,11 +367,9 @@ def test_csv_rows_are_written_as_plain_integers():
     assert serialize_events_csv(make_stream([], t0=0, span_us=10)) == b"t_us,x,y,p\n"
 
 
-def test_csv_header_only_is_empty_stream(monkeypatch):
-    def no_loadtxt(*args, **kwargs):
-        raise AssertionError("a CSV without rows reached np.loadtxt")
-    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
-    for data in (b"t_us,x,y,p\n", b"t_us,x,y,p", b"t_us,x,y,p\r\n\n  \n"):
+def test_csv_header_only_is_empty_stream():
+    for data in (b"t_us,x,y,p\n", b"t_us,x,y,p", b"t_us,x,y,p\r\n\n  \n", b"t_us,x,y,p\r\n\r\n"):
+        assert events._csv_columns_fast(data) is None    # no rows: the scanner's
         assert len(parse_events_csv(data, 8, 8)) == 0
 
 
@@ -384,6 +382,47 @@ def test_csv_fast_path_reads_a_written_stream():
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+_t_written = st.one_of(st.integers(0, 2 ** 63 - 1), st.integers(0, 2 ** 64 - 1),
+                      st.sampled_from([0, 9, 10, 10 ** 19 - 1, 10 ** 19, 2 ** 64 - 1]))
+_xy_written = st.one_of(st.integers(0, 65535), st.sampled_from([0, 9, 10, 65535]))
+
+
+@given(st.lists(st.tuples(_t_written, _xy_written, _xy_written, st.sampled_from([1, -1])),
+                min_size=1, max_size=12),
+       st.sampled_from(["\n", "\r\n"]), st.sampled_from(["", "final", "final+blank"]))
+@settings(max_examples=300, deadline=None)
+def test_written_csv_takes_the_fast_path(rows, eol, ending):
+    """Every stream serialize_events_csv writes, with '\n' or '\r\n' line ends,
+    with or without a final newline and with a blank line after it, is read
+    by the vectorised path, into the written arrays and the scanner's."""
+    stream = EventStream(65536, 65536, *(np.array(c, dtype=d) for c, d in
+                         zip(zip(*rows), (np.uint64, np.uint16, np.uint16, np.int8))))
+    text = serialize_events_csv(stream).decode()
+    text = {"": text.rstrip("\n"), "final": text, "final+blank": text + "\n"}[ending]
+    text = text.replace("\n", eol)
+    for data in (text, text.encode()):
+        fast = events._csv_columns_fast(data)
+        assert fast is not None
+        assert _columns(fast) == _columns((stream.t, stream.x, stream.y, stream.p))
+        assert _columns(fast) == _columns(events._csv_columns_scan(text))
+
+
+@pytest.mark.parametrize("body", [
+    "1,2,3,1\r4,5,6,-1\n",              # a lone '\r' ends a line
+    "1, 2,3,1\n", "1,2,3,1 \n", " 1,2,3,1\n", "1,2,3,\t-1\n",   # whitespace in a row
+    "+1,2,3,1\n", "1,2,3,+1\n",          # '+' signs
+    "1,2,3,1\n\n4,5,6,1\n",             # a blank line between rows
+    "1,2,3\n1,5,6,7,1\n",                # 3 and 5 fields, as many commas as two rows
+    "1,2,3,1\n \n",                      # a blank line of spaces after them
+    "1,000002,3,1\n", "000000000000000000001,2,3,1\n",   # longer than 5 and 20 digits
+    f"{2 ** 64},2,3,1\n",                 # past the stored range
+])
+def test_forms_the_fast_path_declines_go_to_the_scanner(body):
+    text = "t_us,x,y,p\n" + body
+    assert events._csv_columns_fast(text) is None
+    assert _parsed_or_message(text) == _scanned_or_message(text)
+
+
 def test_csv_errors_carry_line_numbers():
     with pytest.raises(EventFormatError, match="line 1"):
         parse_events_csv(b"time,x,y,p\n", 8, 8)
@@ -391,6 +430,17 @@ def test_csv_errors_carry_line_numbers():
         parse_events_csv(b"t_us,x,y,p\n1,2\n", 8, 8)
     with pytest.raises(EventFormatError, match="line 3"):
         parse_events_csv(b"t_us,x,y,p\n1,2,3,1\n4,5,6,2\n", 8, 8)
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"t_us,x,y,p\n1,2,3,1\n\xff,1,1,1\n", 3),
+    (b"t_us,x,y,p\n1,2,3,1\n1,1,1,1\xe2\x82", 3),       # a cut multi-byte sequence
+    (b"t_us,x,y,p\r1,2,3,1\r\x80\n", 3),                # numbered as splitlines numbers
+    (b"\xfft_us,x,y,p\n", 1),
+])
+def test_csv_byte_that_is_not_utf8_names_its_line(data, line):
+    with pytest.raises(EventFormatError, match=f"^line {line}: byte 0x.. is not UTF-8"):
+        parse_events_csv(data, 8, 8)
 
 
 @pytest.mark.parametrize("window", [dict(t0=0), dict(span_us=20), dict(t0=5)])

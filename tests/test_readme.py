@@ -14,3 +14,11 @@ def test_library_quick_start_hits_its_event_target(capsys):
     # reaches; gate check 8 holds the same run to within 15% of the target
     assert len(printed) == 1
     assert abs(float(printed[0]) - 120) <= 0.15 * 120
+
+
+def test_layout_names_every_module():
+    """The "Layout" block lists exactly the modules in src/evslicer/."""
+    layout = re.search(r"## Layout\n\n```\nsrc/evslicer/\n(.*?)```", README.read_text(), re.S)
+    listed = [line.split()[0] for line in layout.group(1).splitlines()]
+    modules = sorted(p.name for p in (README.parent / "src" / "evslicer").glob("*.py"))
+    assert sorted(listed) == modules and len(set(listed)) == len(listed)

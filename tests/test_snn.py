@@ -119,15 +119,19 @@ def test_parse_rejects_spatial_tokens_after_linear(arch):
         parse_architecture(arch)
 
 
+def parameter_count(net):
+    return sum(p.size for p in net.parameters())
+
+
 def test_reference_parameter_counts_scale_with_input_size():
     # conv stack: 304 + 32 + 4640 + 64 + 18496 + 128 = 23664 params;
     # the linear head scales with the flattened feature size
     small = SlicerNet(DEFAULT_ARCH, in_hw=(32, 32))
     large = SlicerNet(DEFAULT_ARCH, in_hw=(64, 64))
-    assert small.parameter_count() == 23664 + (1024 * 512 + 512) + (512 + 1)
-    assert large.parameter_count() == 23664 + (4096 * 512 + 512) + (512 + 1)
-    assert 0.5e6 < small.parameter_count() < 0.6e6
-    assert 2.0e6 < large.parameter_count() < 2.2e6
+    assert parameter_count(small) == 23664 + (1024 * 512 + 512) + (512 + 1)
+    assert parameter_count(large) == 23664 + (4096 * 512 + 512) + (512 + 1)
+    assert 0.5e6 < parameter_count(small) < 0.6e6
+    assert 2.0e6 < parameter_count(large) < 2.2e6
 
 
 def test_architecture_must_funnel_to_single_output():
@@ -178,7 +182,7 @@ def test_every_accepted_architecture_runs(tokens, tail, hw, dtype):
 
 def test_lif_token_accepted():
     net = SlicerNet("4C3-LIF-AvgP2-LN-LIF", in_hw=(8, 8), neuron=NeuronConfig(beta=0.9))
-    assert net.parameter_count() > 0
+    assert parameter_count(net) > 0
 
 
 # ---------------------------------------------------------------------------
