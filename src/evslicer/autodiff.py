@@ -21,6 +21,12 @@ forward buffers and the gradients of nodes nobody holds go as the sweep
 passes, without garbage-collector sweeps. A graph can be back-propagated
 once; a second pass through it raises RuntimeError.
 
+A backward reads its inputs' `.data` as it is at backward time: `linear`
+multiplies by its weight's data, `conv2d` gathers its columns again from
+its input's data and `group_norm` recomputes its centred input, instead of
+saving copies. So no one may write into a node's data, or a parameter's,
+between a forward and its backward; `SGD.step` runs after the backward.
+
 Layout: every op hands on C-ordered arrays, as node data and as gradients.
 BLAS picks its kernel, and so the order in which it sums a product, by the
 layout of its operands, so an F-ordered array (a transposed GEMM result, say)
@@ -562,9 +568,11 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     Lowered to one GEMM per call, weight rows times the im2col columns of
     every cell (Chellapilla, Puri & Simard, "High Performance Convolutional
     Neural Networks for Document Processing", 2006); `_im2col` gathers the
-    columns without a zero-padded copy of the input. The backward keeps the
-    columns for the weight gradient and scatters the input gradient on a
-    row-pitched buffer (`_conv_input_grad`).
+    columns without a zero-padded copy of the input. The backward saves the
+    input's data, kh*kw times smaller than the columns, instead of the
+    columns: it gathers them again only when the weight takes a gradient,
+    and scatters the input gradient on a row-pitched buffer
+    (`_conv_input_grad`).
     """
     if stride != 1:
         raise ValueError(f"conv2d supports stride 1 only, got {stride}")
@@ -584,15 +592,17 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     inputs = (x, weight) if bias is None else (x, weight, bias)
     out = _node(y, inputs)
     if out.requires_grad:
+        x_data = x.data
         padded_shape = (n, cin, h + 2 * padding, w + 2 * padding)
         bias_shape = None if bias is None else bias.data.shape
 
         def _bw(g):
             gmat = g.reshape(n, cout, oh * ow)
             if weight.requires_grad:
-                # the columns as stored times the transposed gradient, the
+                # the columns as gathered times the transposed gradient, the
                 # same sums as gmat @ cols.T but faster; transposed back
                 # into a C-ordered array
+                cols = _im2col(x_data, kh, kw, padding)[0]
                 dw = np.matmul(cols, gmat.transpose(0, 2, 1)).sum(axis=0)
                 _accum(weight, np.ascontiguousarray(dw.T).reshape(cout, cin_w, kh, kw))
             if bias is not None and bias.requires_grad:
@@ -722,8 +732,12 @@ def group_norm(x, groups, weight, bias, eps=1e-5):
     m2 = mean(gy*xhat). Both means, dweight and dbias follow from two dot
     products per (sample, channel), sum(g) and sum(g*centered), so g*xhat is
     never formed either; then dx = g*scale + centered*B + C with
-    B = -inv**2 * m2 and C = -inv*m1 per group. The backward overwrites the
-    saved `centered` with centered*B + C, as a graph is back-propagated once.
+    B = -inv**2 * m2 and C = -inv*m1 per group.
+
+    The forward writes y into the buffer of `centered`, so the node saves no
+    full-size array besides its input's data: the backward keeps mu and
+    recomputes centered = x - mu (one subtraction, the forward's own bytes),
+    then overwrites it with centered*B + C.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"group_norm expects 4-d input, got {x.data.shape}")
@@ -738,11 +752,13 @@ def group_norm(x, groups, weight, bias, eps=1e-5):
     inv = 1.0 / np.sqrt(_dots(centered, centered) / size + eps)
     w_g = weight.data.reshape(groups, per)
     scale = (inv * w_g).reshape(n, c, 1)
-    y = centered.reshape(n, c, hw) * scale
+    y = centered.reshape(n, c, hw)
+    y *= scale
     y += bias.data.reshape(1, c, 1)
     out = _node(y.reshape(n, c, h, w), (x, weight, bias))
     if out.requires_grad:
         def _bw(g):
+            centered = xg - mu
             g_c = g.reshape(n, c, hw)
             s1 = _dots(g_c, np.ones(hw, dtype=g.dtype)).reshape(n, groups, per)
             s2 = _dots(g_c, centered.reshape(n, c, hw)).reshape(n, groups, per)
