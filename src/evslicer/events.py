@@ -22,6 +22,8 @@ EVENT_VERSION = 1
 
 CSV_HEADER = "t_us,x,y,p"
 
+REPR_KINDS = ("frame", "voxel", "time_surface")     # the kinds `render` makes
+
 _EVENT_STRUCT = struct.Struct("<QHHb")
 _EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
 _T_MAX = np.iinfo(np.uint64).max        # the stored field ranges
@@ -127,7 +129,7 @@ class RawEventGroup:
 
 @dataclass
 class Representation:
-    """Dense tensor view of a group: 'frame', 'voxel', or 'time_surface'."""
+    """Dense tensor view of a group, of one of the REPR_KINDS."""
 
     kind: str
     tensor: np.ndarray

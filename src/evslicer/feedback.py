@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SGD, Tensor
-from .events import EventStream, build_cells, render_cell_runs
+from .events import REPR_KINDS, EventStream, build_cells, render_cell_runs
 from .losses import timing_loss, update_alpha
 from .schema import check_fields, declared
 from .slicer import (
@@ -386,7 +386,7 @@ class FeedbackConfig:
     lr_schedule: str = declared("cosine", choices=LR_SCHEDULES)
     alpha0: float = declared(0.5, "[0, 1]")
     eta: float = declared(0.05, "[0, inf)")
-    repr_kind: str = declared("frame", choices=("frame", "voxel", "time_surface"))
+    repr_kind: str = declared("frame", choices=REPR_KINDS)
     n_bins: int = declared(5, "[1, inf)")
     finetune_start: int | None = declared(None, "[0, inf)")
     seed: int = declared(0, "[0, inf)")

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: artifact layout, manifests, determinism,
 config precedence, exit codes, and the report formats."""
+import argparse
 import hashlib
 import json
 import struct
@@ -66,6 +67,23 @@ def micro_checkpoint(tmp_path, bias=None, seed=0):
     path = tmp_path / "ckpt.sslc"
     net.save(path)
     return path
+
+
+def subparsers(parser):
+    """The parsers of a parser's subcommands, by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def assert_refused(argv, missing, capsys):
+    """argparse refuses argv with exit 2 and one error line naming the
+    missing flags."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].endswith(f"error: the following arguments are required: {missing}")
 
 
 class TestSynth:
@@ -515,8 +533,35 @@ class TestTrain:
                    "--dt-us", "10000", "--geometry", "16x8", "--out-dir", str(tmp_path / "s")])
         assert rc == 0
 
-    def test_feedback_without_events_exits_2(self, tmp_path):
-        assert main(["train", "feedback", "--out-dir", str(tmp_path)]) == 2
+    def test_feedback_without_events_exits_2(self, tmp_path, capsys):
+        assert_refused(["train", "feedback", "--out-dir", str(tmp_path)], "--events", capsys)
+
+    def test_init_checkpoint_beside_a_net_flag_exits_2(self, tmp_path, capsys):
+        """A loaded net has its own architecture, width and input scale, so
+        one given beside --init-checkpoint is refused, not dropped."""
+        events, _ = synth_csv(tmp_path)
+        ckpt = micro_checkpoint(tmp_path)
+        rc = main(["train", "feedback", "--events", str(events), "--geometry", "8x8",
+                   "--target-events", "30", "--init-checkpoint", str(ckpt),
+                   "--arch", "LN-LN-IF", "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--arch" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_fresh_feedback_net_takes_the_net_flags_given(self, tmp_path):
+        """Without --init-checkpoint the net is the count head unless
+        --arch, --hidden-units or --input-scale says otherwise."""
+        events, _ = synth_csv(tmp_path)
+        base = ["train", "feedback", "--events", str(events), "--geometry", "8x8",
+                "--target-events", "30", "--epochs", "1", "--samples-per-epoch", "2"]
+        assert main([*base, "--out-dir", str(tmp_path / "a")]) == 0
+        meta = json.loads((tmp_path / "a" / "checkpoint.sslc.meta.json").read_text())
+        assert (meta["arch"], meta["hidden_units"], meta["input_scale"]) == ("LN-IF", 512, 1.0)
+        assert main([*base, "--arch", "LN-LN-IF", "--hidden-units", "4", "--input-scale", "0.5",
+                     "--out-dir", str(tmp_path / "b")]) == 0
+        meta = json.loads((tmp_path / "b" / "checkpoint.sslc.meta.json").read_text())
+        assert (meta["arch"], meta["hidden_units"], meta["input_scale"]) == ("LN-LN-IF", 4, 0.5)
 
 
     def test_even_kernel_conv_trains(self, tmp_path):
@@ -613,6 +658,36 @@ class TestSlice:
                 serial = (tmp_path / "jobs1" / stem / name).read_bytes()
                 assert serial
                 assert (tmp_path / "jobs2" / stem / name).read_bytes() == serial
+
+    def test_jobs_starts_no_more_workers_than_streams(self, tmp_path, monkeypatch):
+        """A pool forks all its workers on its first task, so --jobs beyond
+        the number of event files asks for only one worker per file. A fake
+        pool records the count and maps in this process."""
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        e1, _ = synth_csv(tmp_path, name="one.csv", seed=1)
+        e2, _ = synth_csv(tmp_path, name="two.csv", seed=2)
+        ckpt = micro_checkpoint(tmp_path, bias=5.0)
+        for jobs in ("2", "100000"):
+            assert main(["slice", "--checkpoint", str(ckpt), "--events", str(e1), str(e2),
+                         "--dt-us", "10000", "--geometry", "8x8", "--jobs", jobs,
+                         "--out-dir", str(tmp_path / jobs)]) == 0
+        assert asked == [2, 2]
+        assert ((tmp_path / "100000" / "two" / "decisions.jsonl").read_bytes()
+                == (tmp_path / "2" / "two" / "decisions.jsonl").read_bytes())
 
     def test_event_files_sharing_a_stem_exit_2_before_any_output(self, tmp_path, capsys):
         """a/events.csv and b/events.csv would both write out/events/: the
@@ -776,10 +851,21 @@ class TestReport:
         policies = {l.split(",")[0] for l in lines[1:]}
         assert policies == {"adaptive", "fixed-duration", "fixed-count", "random"}
 
-    def test_compare_without_data_exits_2(self, tmp_path):
+    def test_compare_without_data_exits_2(self, tmp_path, capsys):
         ckpt = micro_checkpoint(tmp_path)
-        assert main(["report", "compare", "--checkpoint", str(ckpt),
-                     "--out-dir", str(tmp_path)]) == 2
+        assert_refused(["report", "compare", "--checkpoint", str(ckpt),
+                        "--out-dir", str(tmp_path)], "--train, --test", capsys)
+
+    @pytest.mark.parametrize("kind, given, missing", [
+        ("density", [], "--events"),
+        ("energy", ["--checkpoint", "c.sslc"], "--events"),
+        ("energy", ["--events", "e.csv"], "--checkpoint"),
+        ("compare", ["--train", "a.csv:0", "--test", "b.csv:1"], "--checkpoint"),
+    ])
+    def test_missing_input_exits_2_naming_it(self, tmp_path, capsys, kind, given, missing):
+        assert_refused(["report", kind, *given, "--out-dir", str(tmp_path / "out")],
+                       missing, capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_bad_labels_exit_2(self, tmp_path):
         events, _ = synth_csv(tmp_path)
@@ -811,6 +897,56 @@ class TestParser:
             main(command + ["--out-dir", str(tmp_path), "--jobs", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        (["train", "arena-i"], ["--events", "e.csv"]),
+        (["train", "arena-i"], ["--init-checkpoint", "c.sslc"]),
+        (["train", "arena-ii"], ["--oracle", "classifier"]),
+        (["train", "arena-ii"], ["--geometry", "8x8"]),
+        (["train", "feedback", "--events", "e.csv"], ["--hw", "8x8"]),
+        (["train", "feedback", "--events", "e.csv"], ["--max-iters", "3"]),
+        (["report", "energy", "--checkpoint", "c.sslc", "--events", "e.csv"], ["--fmt", "csv"]),
+        (["report", "energy", "--checkpoint", "c.sslc", "--events", "e.csv"],
+         ["--policies", "zzz"]),
+        (["report", "density", "--events", "e.csv"], ["--checkpoint", "c.sslc"]),
+        (["report", "density", "--events", "e.csv"], ["--clf-seed", "1"]),
+        (["report", "compare", "--checkpoint", "c.sslc", "--train", "a.csv:0",
+          "--test", "b.csv:1"], ["--events", "e.csv"]),
+    ], ids=lambda c: "-".join(c[:2]) if c[0] in ("train", "report") else c[0])
+    def test_flag_of_another_task_is_refused(self, command, flag, tmp_path, capsys):
+        """Each train and report task takes only the flags it reads."""
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--out-dir", str(tmp_path / "out")] + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["train", "arena-i"],
+        ["train", "arena-ii"],
+        ["train", "feedback", "--events", "e.csv"],
+        ["report", "density", "--events", "e.csv"],
+        ["report", "energy", "--checkpoint", "c.sslc", "--events", "e.csv"],
+        ["report", "compare", "--checkpoint", "c.sslc", "--train", "a.csv:0",
+         "--test", "b.csv:1"],
+    ], ids=lambda c: "-".join(c[:2]))
+    def test_no_task_takes_a_flag_only_its_siblings_read(self, command, tmp_path, capsys):
+        """Every flag that another task of the command takes and this one
+        does not is refused, also where it prefixes one of this task's own
+        (arena's --target beside feedback's --target-events)."""
+        def flags(parser):
+            return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+        tasks = subparsers(subparsers(cli.build_parser())[command[0]])
+        others = set().union(*(flags(p) for name, p in tasks.items() if name != command[1]))
+        foreign = sorted(others - flags(tasks[command[1]]))
+        assert foreign
+        for flag in foreign:
+            with pytest.raises(SystemExit) as exc:
+                main(command + ["--out-dir", str(tmp_path / "out"), flag, "1"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", [
         ["synth", "--scenario", "s.json"],

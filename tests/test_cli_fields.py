@@ -182,11 +182,15 @@ EDGES = st.sampled_from([0, 1, 2, 3, 4, 7, 16, 1000, -1, -16, 2 ** 31, 2 ** 62,
 GRID_LIMIT, WINDOW_LIMIT = 2 ** 16, 2 ** 12
 
 
-def stream_actions(command):
-    """The parser's actions for the stream flags a subcommand takes, by dest."""
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in subparsers.choices[command]._actions if a.dest in STREAM_FLAGS}
+def stream_actions(*command):
+    """The parser's actions for the stream flags a subcommand (or a task of
+    one, as in "report", "density") takes, by dest."""
+    parser = build_parser()
+    for name in command:
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        parser = subparsers.choices[name]
+    return {a.dest: a for a in parser._actions if a.dest in STREAM_FLAGS}
 
 
 def flag_values(action):
@@ -202,7 +206,7 @@ def flag_values(action):
 @st.composite
 def stream_draws(draw):
     command = draw(st.sampled_from(["cells", "density"]))
-    actions = stream_actions("report" if command == "density" else command)
+    actions = stream_actions(*(["report", "density"] if command == "density" else [command]))
     values = {dest: draw(flag_values(action)) for dest, action in actions.items()}
     return command, draw(st.sampled_from(["csv", "bin"])), actions, values
 

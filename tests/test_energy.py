@@ -97,8 +97,19 @@ class TestEnergy:
         assert energy_joules(stats(2)) - mac == pytest.approx(2 * (energy_joules(stats(1)) - mac))
 
     def test_fc_only_network_bills_all_ac(self):
-        stats = [LayerStats("fc0", "fc", 256, 1.0, 4)]
+        # an fc layer behind a spiking layer, as in IF-LN-IF, reads spikes
+        stats = [LayerStats("fc0", "fc", 256, 1.0, 4, reads_spikes=True)]
         assert energy_joules(stats) == E_AC_JOULES * (1.0 * 4 * 256)
+
+    def test_analog_input_bills_mac_wherever_it_sits(self):
+        # one stat list with and one without the flags: the flag overrides
+        # the first-layer default in both directions
+        stats = [
+            LayerStats("conv0", "conv", 1000, 1.0, 4, reads_spikes=True),
+            LayerStats("fc0", "fc", 500, 1.0, 4, reads_spikes=False),
+        ]
+        assert [l["billing"] for l in energy_report(stats)["layers"]] == ["ac", "mac"]
+        assert energy_joules(stats) == E_AC_JOULES * (4 * 1000) + E_MAC_JOULES * 500
 
     def test_monotone_in_firing_rate(self):
         rng = np.random.default_rng(0)
@@ -156,6 +167,31 @@ class TestProfiling:
         stats = profile_network(net, np.zeros((4, 2, 8, 8)))
         assert stats[1].fr == 0.0
         assert energy_joules(stats) == E_MAC_JOULES * stats[0].flops
+
+    @pytest.mark.parametrize("arch, billing", [
+        ("LN-IF", ["mac"]),
+        ("IF-LN-IF", ["ac"]),
+        ("4C3-4C3-LN-IF", ["mac", "mac", "mac"]),
+        ("LN-LN-IF", ["mac", "mac"]),
+        ("4C3-GN-LN-IF", ["mac", "mac"]),
+        ("4C3-IF-LN-LN-IF", ["mac", "ac", "mac"]),
+        ("4C3-IF-AvgP2-GN-LN-IF", ["mac", "mac"]),
+        ("4C3-IF-AvgP2-AdaP2-LN-IF", ["mac", "ac"]),
+    ])
+    def test_billing_follows_what_a_layer_reads(self, arch, billing):
+        """A layer reading spikes, through any pools, bills AC on its input's
+        mean; one reading the cells or another layer's analog output bills
+        MAC on its FLOPs, whatever sign or size that output has."""
+        net = SlicerNet(arch, in_hw=(8, 8), hidden_units=4, seed=0, init_gain=2.0)
+        cells = np.random.default_rng(1).poisson(0.8, (5, 2, 8, 8)).astype(np.float64)
+        stats = profile_network(net, cells)
+        rep = energy_report(stats)
+        assert [row["billing"] for row in rep["layers"]] == billing
+        for s, row in zip(stats, rep["layers"]):
+            assert s.reads_spikes == (row["billing"] == "ac")
+            assert row["joules"] == (E_AC_JOULES * synaptic_ops(s) if s.reads_spikes
+                                     else E_MAC_JOULES * s.flops)
+            assert s.fr == 1.0 or s.reads_spikes
 
     def test_profile_is_deterministic_and_stateless(self):
         net = SlicerNet("4C3-IF-LN-IF", in_hw=(8, 8), seed=1)
