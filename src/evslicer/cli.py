@@ -6,10 +6,11 @@ feedback), slice (checkpoint + events -> decisions), report density /
 energy / compare. Each command and task has its own parser, holding only
 the flags it reads; any other flag is refused.
 
-Every run writes a manifest.json into its output directory recording the
-command, the fully resolved config, seeds, input/output paths, and the
-package version; artifacts other than the manifest are byte-deterministic
-for a fixed seed. Config values resolve as CLI flag > config file > default.
+Every run writes a manifest.json into its output directory. Its config is
+every flag of the command under its argparse dest, with the config the
+command resolved (a train task's, synth's scenario) laid over them; artifacts
+other than the manifest are byte-deterministic for a fixed seed. Config
+values resolve as CLI flag > config file > default.
 
 Exit codes: 0 success, 2 bad usage or config, 3 training diverged.
 """
@@ -112,16 +113,24 @@ def _write_json(path, value):
     Path(path).write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
 
 
-def write_manifest(out_dir, command, config, seed, inputs, outputs, started_at):
-    """One manifest per run; identical inputs reproduce identical artifacts
-    byte-for-byte (the two timestamps are the only run-varying fields; the
-    BLAS record varies by host)."""
+INPUT_FLAGS = ("scenario", "config", "events", "init_checkpoint", "checkpoint", "train", "test")
+
+
+def write_manifest(out_dir, command, config, outputs, started_at):
+    """One manifest per run. Its seed is config's, and its inputs are the
+    files config's INPUT_FLAGS name, a list flag's numbered (events0, ...).
+    Identical inputs reproduce identical artifacts byte-for-byte (the two
+    timestamps are the only run-varying fields; the BLAS record varies by
+    host)."""
+    given = [(name, config.get(name)) for name in INPUT_FLAGS]
+    inputs = {name: v for name, v in given if isinstance(v, str)}
+    inputs |= {f"{name}{i}": p for name, v in given if isinstance(v, list) for i, p in enumerate(v)}
     manifest = {
         "blas": blas_info(),
         "command": command,
         "config": config,
-        "seed": seed,
-        "inputs": {k: str(v) for k, v in inputs.items()},
+        "seed": config["seed"],
+        "inputs": inputs,
         "outputs": {k: str(v) for k, v in outputs.items()},
         "code_version": __version__,
         "started_at": started_at,
@@ -196,8 +205,8 @@ def _parse_labelled(args, specs):
 
 
 # ---------------------------------------------------------------------------
-# commands: each makes its out dir, writes its artifacts and returns
-# (config, seed, inputs, outputs) for main to record in the manifest
+# commands: each makes its out dir, writes its artifacts and returns (outputs,
+# the config it resolved beyond its flags) for main to record in the manifest
 # ---------------------------------------------------------------------------
 
 def _out_dir(args):
@@ -214,8 +223,7 @@ def cmd_synth(args):
     writer = serialize_events_binary if args.fmt == "binary" else serialize_events_csv
     out.write_bytes(writer(stream))
     print(f"wrote {len(stream.t)} events -> {out}")
-    return (json.loads(scenario.to_json()) | {"fmt": args.fmt}, args.seed,
-            {"scenario": args.scenario}, {"events": out})
+    return {"events": out}, json.loads(scenario.to_json())
 
 
 def cmd_cells(args):
@@ -228,8 +236,7 @@ def cmd_cells(args):
              dropped_tail_events=np.int64(cells.dropped_tail_events))
     print(f"{len(cells)} cells of {args.dt_us} us, {int(cells.counts().sum())} events binned "
           f"-> {out}")
-    return ({"dt_us": args.dt_us, "n_cells": args.n_cells}, args.seed,
-            {"events": args.events}, {"cells": out})
+    return {"cells": out}, {}
 
 
 def _write_jsonl(path, records):
@@ -269,7 +276,7 @@ def cmd_arena(args):
                                     "elapsed_s": round(res.elapsed_s, 3)})
     print(f"{cfg.task}: n*={res.n_star} converged_at={res.converged_at} "
           f"iterations={res.iterations}")
-    return dataclasses.asdict(cfg), cfg.seed, {}, outputs
+    return outputs, dataclasses.asdict(cfg)
 
 
 def cmd_feedback(args):
@@ -290,15 +297,12 @@ def cmd_feedback(args):
         data = _parse_labelled(args, args.events)
         first = data[0][0]
         n_classes = max(label for _, label in data) + 1
-        oracle = ToyClassifierOracle((2, first.height, first.width), n_classes=n_classes,
-                                     seed=cfg.seed)
-    inputs = {f"events{i}": p for i, p in enumerate(args.events)}
-    if args.init_checkpoint:
-        net = SlicerNet.load(args.init_checkpoint)
-        inputs["init_checkpoint"] = args.init_checkpoint
-    else:
-        net = SlicerNet(**{"arch": COUNT_HEAD_ARCH} | net_flags,
-                        in_hw=(first.height, first.width), seed=cfg.seed)
+        frame = (2, first.height, first.width)      # a voxel slice stacks n_bins frames
+        oracle = ToyClassifierOracle((cfg.n_bins, *frame) if cfg.repr_kind == "voxel" else frame,
+                                     n_classes=n_classes, seed=cfg.seed)
+    net = (SlicerNet.load(args.init_checkpoint) if args.init_checkpoint
+           else SlicerNet(**{"arch": COUNT_HEAD_ARCH} | net_flags,
+                          in_hw=(first.height, first.width), seed=cfg.seed))
     res, outputs = _train(out_dir, "feedback", partial(train_feedback, net, oracle, data, cfg))
     outputs["checkpoint"] = out_dir / "checkpoint.sslc"
     net.save(outputs["checkpoint"])
@@ -308,8 +312,7 @@ def cmd_feedback(args):
                                     "elapsed_s": round(res.elapsed_s, 3)})
     print(f"feedback: {res.samples} samples ({res.skipped} skipped), "
           f"alpha={res.alpha_final:.3f}")
-    config = dataclasses.asdict(cfg) | {"oracle": args.oracle, "target_events": args.target_events}
-    return config, cfg.seed, inputs, outputs
+    return outputs, dataclasses.asdict(cfg)
 
 
 def _slice_one(args, events_path, out_dir):
@@ -362,12 +365,7 @@ def cmd_slice(args):
         outputs[f"decisions:{key}"] = dec_path
         outputs[f"report:{key}"] = rep_path
         print(f"{ev}: {n} slices")
-    config = {"dt_us": args.dt_us, "repr": args.repr_kind, "n_bins": args.n_bins,
-              "tau_us": args.tau_us, "flush_tail": not args.no_flush_tail,
-              "reset_per_slice": args.reset_per_slice}
-    inputs = {"checkpoint": args.checkpoint,
-              **{f"events{i}": p for i, p in enumerate(args.events)}}
-    return config, args.seed, inputs, outputs
+    return outputs, {}
 
 
 def _write_table(path, fmt, rows, fieldnames):
@@ -389,8 +387,7 @@ def cmd_density(args):
     out = out_dir / f"density.{args.fmt}"
     _write_table(out, args.fmt, rows, ["window", "t_start_us", "events_per_us"])
     print(f"{len(rows)} windows -> {out}")
-    return ({"dt_us": args.dt_us, "fmt": args.fmt}, args.seed,
-            {"events": args.events}, {"report": out})
+    return {"report": out}, {}
 
 
 def cmd_energy(args):
@@ -401,30 +398,24 @@ def cmd_energy(args):
     out = out_dir / "energy.json"
     _write_json(out, report)
     print(f"total {report['totals']['joules']:.3e} J -> {out}")
-    return ({"dt_us": args.dt_us}, args.seed,
-            {"checkpoint": args.checkpoint, "events": args.events}, {"report": out})
+    return {"report": out}, {}
 
 
 def cmd_compare(args):
     out_dir = _out_dir(args)
-    net = SlicerNet.load(args.checkpoint)
-    train_data = _parse_labelled(args, args.train)
-    test_data = _parse_labelled(args, args.test)
-    policies = tuple(args.policies.split(","))
-    results = compare_policies(net, train_data, test_data, args.dt_us,
-                               policies=policies, target_events=args.target_events,
-                               clf_hidden=args.clf_hidden, clf_lr=args.clf_lr,
-                               clf_passes=args.clf_passes, clf_seed=args.clf_seed,
-                               repr_kind=args.repr_kind, seed=args.seed)
+    results = compare_policies(
+        SlicerNet.load(args.checkpoint), _parse_labelled(args, args.train),
+        _parse_labelled(args, args.test), args.dt_us, policies=tuple(args.policies.split(",")),
+        target_events=args.target_events, clf_hidden=args.clf_hidden, clf_lr=args.clf_lr,
+        clf_passes=args.clf_passes, clf_seed=args.clf_seed, repr_kind=args.repr_kind,
+        seed=args.seed)
     rows = [{"policy": name, **vals} for name, vals in results.items()]
     out = out_dir / f"compare.{args.fmt}"
     fields = ["policy", "accuracy", "train_slices", "test_slices", "slices_per_stream"]
     _write_table(out, args.fmt, rows, fields)
     for row in rows:
         print(f"{row['policy']}: accuracy={row['accuracy']:.3f}")
-    config = {"dt_us": args.dt_us, "policies": list(policies),
-              "target_events": args.target_events}
-    return config, args.seed, {"checkpoint": args.checkpoint}, {"report": out}
+    return {"report": out}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -572,11 +563,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command", "task")}
     command = args.command + (f" {args.task}" if "task" in args else "")
     started = _utc_now()
     try:
-        config, seed, inputs, outputs = args.func(args)
-        write_manifest(args.out_dir, command, config, seed, inputs, outputs, started)
+        outputs, resolved = args.func(args)
+        write_manifest(args.out_dir, command, flags | resolved, outputs, started)
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3

@@ -144,10 +144,12 @@ class ToyClassifierOracle:
     """
 
     def __init__(self, in_shape, n_classes=2, hidden=16, lr=0.05, seed=0):
+        if hidden < 1 or not 0 < lr < np.inf:
+            raise ValueError(f"classifier needs hidden >= 1 and a finite lr > 0, "
+                             f"got hidden={hidden}, lr={lr}")
         rng = np.random.Generator(np.random.PCG64(seed))
         in_features = int(np.prod(in_shape))
         self.n_classes = int(n_classes)
-        self.lr = float(lr)
         scale1 = 1.0 / np.sqrt(in_features)
         scale2 = 1.0 / np.sqrt(hidden)
         self.w1 = Tensor(rng.normal(0.0, scale1, (hidden, in_features)), requires_grad=True)
@@ -556,6 +558,8 @@ def compare_policies(net, train_data, test_data, dt_us, *, policies=("adaptive",
                      clf_seed=0, repr_kind="frame", seed=0):
     """Train one fresh classifier per cut policy on identically budgeted
     sliced datasets and report per-slice test accuracy for each policy."""
+    if clf_passes < 0:
+        raise ValueError(f"clf_passes must be >= 0, got {clf_passes}")
     results = {}
     for policy in policies:
         train_set, train_counts = sliced_dataset(

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from evslicer import cli
 from evslicer.autodiff import load_named_tensors
 from evslicer.cli import main
 from evslicer.events import (
+    REPR_KINDS,
     CellSequence,
     EventStream,
     Scenario,
@@ -72,6 +74,31 @@ def micro_checkpoint(tmp_path, bias=None, seed=0):
 def subparsers(parser):
     """The parsers of a parser's subcommands, by name."""
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def leaf_parsers(parser, words=()):
+    """Every parser that runs a command, by its command words."""
+    children = next((a.choices for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)), None)
+    if children is None:
+        return {words: parser}
+    return {k: leaf for name, child in children.items()
+            for k, leaf in leaf_parsers(child, (*words, name)).items()}
+
+
+def labelled_streams(tmp_path):
+    """Two 120 ms 8x8 streams labelled 0 and 1, as path:label specs."""
+    paths = [synth_csv(tmp_path, name=f"s{label}.csv", seed=label, duration_ms=120,
+                       rate_per_ms=[[0, 120, 2.0]])[0] for label in (0, 1)]
+    return [f"{path}:{label}" for label, path in enumerate(paths)]
+
+
+def compare_argv(tmp_path):
+    """A valid `report compare` run on a micro checkpoint, one pass."""
+    specs = labelled_streams(tmp_path)
+    return ["report", "compare", "--checkpoint", str(micro_checkpoint(tmp_path)),
+            "--train", *specs, "--test", *specs, "--dt-us", "10000", "--geometry", "8x8",
+            "--target-events", "40", "--clf-passes", "1", "--out-dir", str(tmp_path / "out")]
 
 
 def assert_refused(argv, missing, capsys):
@@ -521,6 +548,17 @@ class TestTrain:
         assert manifest["config"]["oracle"] == "density"
         assert manifest["config"]["target_events"] == 77
 
+    @pytest.mark.parametrize("kind", REPR_KINDS)
+    def test_classifier_feedback_runs_on_every_representation(self, tmp_path, kind):
+        """The classifier oracle is sized for the slices --repr renders: a
+        voxel slice stacks --n-bins frames."""
+        rc = main(["train", "feedback", "--events", *labelled_streams(tmp_path),
+                   "--geometry", "8x8", "--oracle", "classifier", "--repr", kind,
+                   "--n-bins", "3", "--dt-us", "5000", "--epochs", "1",
+                   "--samples-per-epoch", "2", "--window", "6", "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        assert json.loads((tmp_path / "out" / "result.json").read_text())["samples"] == 2
+
     def test_hw_is_width_by_height(self, tmp_path):
         """--hw reads WxH as --geometry does, so a 16x8 net slices 16x8 cells."""
         assert main(["train", "arena-i", "--arch", "LN-IF", "--hw", "16x8", "--n-steps", "6",
@@ -867,12 +905,76 @@ class TestReport:
                        missing, capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--clf-hidden", "0", "hidden=0"),
+        ("--clf-hidden", "-3", "hidden=-3"),
+        ("--clf-lr", "0", "lr=0.0"),
+        ("--clf-lr", "-1", "lr=-1.0"),
+        ("--clf-lr", "nan", "lr=nan"),
+        ("--clf-lr", "inf", "lr=inf"),
+        ("--clf-passes", "-1", "clf_passes"),
+    ])
+    def test_classifier_value_out_of_range_exits_2_naming_it(self, tmp_path, capsys, flag,
+                                                             value, name):
+        argv = compare_argv(tmp_path)
+        capsys.readouterr()
+        assert main([*argv, f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+        assert not (tmp_path / "out" / "compare.json").exists()
+
     def test_bad_labels_exit_2(self, tmp_path):
         events, _ = synth_csv(tmp_path)
         ckpt = micro_checkpoint(tmp_path)
         assert main(["report", "compare", "--checkpoint", str(ckpt),
                      "--train", str(events), "--test", str(events),
                      "--geometry", "8x8", "--out-dir", str(tmp_path)]) == 2
+
+
+class TestManifest:
+    LEAVES = leaf_parsers(cli.build_parser())
+
+    @staticmethod
+    def minimal_runs(tmp_path):
+        """A minimal valid run of every command and task, by its command
+        words; each names at least one input file."""
+        events = str(synth_csv(tmp_path, duration_ms=120, rate_per_ms=[[0, 120, 2.0]])[0])
+        ckpt = str(micro_checkpoint(tmp_path))
+        config = tmp_path / "config.json"
+        config.write_text("{}")
+        stream = ["--events", events, "--geometry", "8x8"]
+        arena = ["--config", str(config), *MICRO_TRAIN[:-2], "--max-iters", "2"]
+        return {
+            ("synth",): ["--scenario", str(scenario_json(tmp_path))],
+            ("cells",): [*stream, "--dt-us", "10000"],
+            ("train", "arena-i"): arena,
+            ("train", "arena-ii"): arena,
+            ("train", "feedback"): [*stream, "--config", str(config), "--target-events", "30",
+                                    "--init-checkpoint", ckpt, "--dt-us", "5000", "--epochs",
+                                    "1", "--samples-per-epoch", "2", "--window", "6"],
+            ("slice",): ["--checkpoint", ckpt, *stream, "--dt-us", "10000", "--dump-reprs"],
+            ("report", "density"): stream,
+            ("report", "energy"): ["--checkpoint", ckpt, *stream],
+            ("report", "compare"): compare_argv(tmp_path)[2:-2],
+        }
+
+    @pytest.mark.parametrize("words", sorted(LEAVES), ids=" ".join)
+    def test_manifest_records_every_flag_seed_and_input(self, tmp_path, words):
+        """config holds every dest of the command's parser, as parsed where
+        the command resolved nothing else for it; the seed is config's; the
+        inputs name every file the command line gives."""
+        argv = [*words, *self.minimal_runs(tmp_path)[words], "--out-dir", str(tmp_path / "out")]
+        files = [arg for arg in argv if Path(arg.rpartition(":")[0] or arg).is_file()]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        config = manifest["config"]
+        parsed = vars(cli.build_parser().parse_args(argv))
+        for action in self.LEAVES[words]._actions:
+            if action.dest != "help":
+                assert action.dest in config
+                assert parsed[action.dest] in (None, config[action.dest]), action.dest
+        assert manifest["seed"] == config["seed"]
+        assert files and set(files) <= set(manifest["inputs"].values())
 
 
 class TestParser:

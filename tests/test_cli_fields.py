@@ -1,8 +1,10 @@
 """Property tests through the command line: one arbitrary JSON value in any
 one field of a training config, a scenario or a checkpoint sidecar, on top
-of a tiny valid base, and any values of the stream flags of `cells` and
-`report density`, end in exit 0, 2 or 3, never 1 or an escaped exception,
-and an exit 2 prints exactly one `error:` line.
+of a tiny valid base, any values of the stream flags of `cells` and
+`report density`, and any mix of the classifier flags of `report compare`
+and `train feedback --oracle classifier`, end in exit 0, 2 or 3, never 1
+or an escaped exception (a warning included), and an exit 2 prints exactly
+one `error:` line.
 
 In-range draws of sizes and budgets (the SMALL fields) come from a small
 range, so that no run is slow or large: nothing caps `hidden_units`, and a
@@ -22,7 +24,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from evslicer.cli import build_parser, int64, main
-from evslicer.events import EventStream, Scenario, serialize_events_binary, serialize_events_csv
+from evslicer.events import (
+    REPR_KINDS,
+    EventStream,
+    Scenario,
+    serialize_events_binary,
+    serialize_events_csv,
+)
 from evslicer.feedback import ArenaConfig, FeedbackConfig
 from evslicer.schema import INT64
 from evslicer.snn import NetSpec, NeuronConfig, SlicerNet
@@ -264,3 +272,51 @@ def test_stream_flags(tiny_files, draw):
     if rc == 2:
         errors = [line for line in lines if "error: " in line]
         assert len(errors) == 1 and (len(lines) == 1 or lines[0].startswith("usage: ")), lines
+
+
+# ---------------------------------------------------------------------------
+# classifier flags
+# ---------------------------------------------------------------------------
+
+POLICIES = ["adaptive", "fixed-duration", "fixed-count", "random"]
+INT64_EDGES = st.sampled_from([0, -1, 2 ** 62, INT64_MAX, -INT64_MAX - 1])
+# sizes and pass counts stay small: the classifier allocates hidden x pixels
+COMPARE_FLAGS = {
+    "--clf-hidden": st.integers(-2, 16),
+    "--clf-lr": st.floats(-2, 2) | st.sampled_from(["nan", "inf", "-inf"]),
+    "--clf-passes": st.integers(-2, 3),
+    "--clf-seed": st.integers(0, 16) | INT64_EDGES,
+    "--target-events": st.integers(1, 64) | INT64_EDGES,
+    "--policies": st.lists(st.sampled_from(POLICIES + ["zzz", ""]), min_size=1,
+                           max_size=4).map(",".join),
+    "--repr": st.sampled_from(REPR_KINDS),
+}
+
+
+def given_flags(draws):
+    """--flag=value for each flag drawn, so that a value such as -inf is
+    not read as a flag."""
+    return [f"{flag}={value}" for flag, value in draws.items() if value is not None]
+
+
+@given(draws=st.fixed_dictionaries({flag: st.none() | values
+                                    for flag, values in COMPARE_FLAGS.items()}))
+@FIELD_SETTINGS
+def test_compare_flags(base, draws):
+    labelled = [f"{base / 'events.csv'}:{label}" for label in (0, 1)]
+    assert_clean_exit(*run(["report", "compare", "--checkpoint", str(base / "net.sslc"),
+                            "--train", *labelled, "--test", *labelled, "--geometry", "8x8",
+                            "--dt-us", "1000", "--out-dir", str(base / "compare"),
+                            *given_flags(draws)]))
+
+
+@given(draws=st.fixed_dictionaries({"--repr": st.sampled_from(REPR_KINDS),
+                                    "--n-bins": st.none() | st.integers(-1, 4)}))
+@FIELD_SETTINGS
+def test_classifier_feedback_flags(base, draws):
+    config = base / "classifier.json"
+    config.write_text(json.dumps(FEEDBACK))
+    assert_clean_exit(*run(["train", "feedback", "--oracle", "classifier",
+                            "--events", *[f"{base / 'events.csv'}:{label}" for label in (0, 1)],
+                            "--geometry", "8x8", "--config", str(config),
+                            "--out-dir", str(base / "classifier"), *given_flags(draws)]))
