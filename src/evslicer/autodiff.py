@@ -46,7 +46,7 @@ __all__ = [
     "Tensor", "ShapeError", "no_grad",
     "conv2d", "avg_pool", "adaptive_avg_pool", "group_norm", "linear",
     "concat", "gather", "cast", "spike", "neuron_scan", "SGD",
-    "save_named_tensors", "load_named_tensors", "CheckpointError",
+    "save_named_tensors", "load_named_tensors", "load_named_tensors_into", "CheckpointError",
     "CHECKPOINT_MAGIC", "CHECKPOINT_VERSION",
 ]
 
@@ -1020,7 +1020,7 @@ class SGD:
 
 CHECKPOINT_MAGIC = b"SSLC"
 CHECKPOINT_VERSION = 1
-_IO_BLOCK = 1 << 16        # values widened per write
+_IO_BLOCK = 1 << 16        # values widened per write, narrowed per read
 
 
 class CheckpointError(ValueError):
@@ -1050,42 +1050,86 @@ def save_named_tensors(path, named):
                 fh.write(flat[start:start + _IO_BLOCK].astype("<f8").data)
 
 
-def load_named_tensors(path):
-    """Read the container written by save_named_tensors; returns {name: array}.
-    Raises CheckpointError unless it holds whole records with distinct names."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+def _container_records(fh, path):
+    """Walk the record headers of an open container, seeking past each
+    record's values; returns {name: (extents, offset of the values)} in file
+    order. Raises CheckpointError unless it holds whole records with
+    distinct names."""
+    size = os.fstat(fh.fileno()).st_size
 
-        def need(n, what):
-            if n > size - fh.tell():
-                raise CheckpointError(f"{path}: truncated {what} at byte {fh.tell()}: "
-                                      f"needs {n} bytes, {size - fh.tell()} remain")
+    def need(n, what):
+        if n > size - fh.tell():
+            raise CheckpointError(f"{path}: truncated {what} at byte {fh.tell()}: "
+                                  f"needs {n} bytes, {size - fh.tell()} remain")
 
-        def take(n, what):
-            need(n, what)
-            return fh.read(n)
+    def take(n, what):
+        need(n, what)
+        return fh.read(n)
 
-        magic = take(4, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        (version,) = struct.unpack("<I", take(4, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported container version {version}")
-        named = {}
-        while fh.tell() < size:
-            (name_len,) = struct.unpack("<I", take(4, "name length"))
-            try:
-                name = take(name_len, "name").decode("utf-8")
-            except UnicodeDecodeError:
-                raise CheckpointError(
-                    f"{path}: tensor name before byte {fh.tell()} is not utf-8") from None
-            if name in named:
-                raise CheckpointError(f"{path}: duplicate tensor {name!r}")
-            (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
-            extents = struct.unpack(f"<{rank}Q", take(8 * rank, f"extents of {name!r}"))
-            need(8 * math.prod(extents), f"values of {name!r}")
-            values = np.empty(extents, dtype="<f8")      # read in place: no whole-file buffer
-            if fh.readinto(values) != values.nbytes:
+    magic = take(4, "magic")
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+    (version,) = struct.unpack("<I", take(4, "version"))
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported container version {version}")
+    records = {}
+    while fh.tell() < size:
+        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(
+                f"{path}: tensor name before byte {fh.tell()} is not utf-8") from None
+        if name in records:
+            raise CheckpointError(f"{path}: duplicate tensor {name!r}")
+        (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
+        extents = struct.unpack(f"<{rank}Q", take(8 * rank, f"extents of {name!r}"))
+        n_bytes = 8 * math.prod(extents)
+        need(n_bytes, f"values of {name!r}")
+        records[name] = (extents, fh.tell())
+        fh.seek(n_bytes, os.SEEK_CUR)
+    return records
+
+
+def _read_values(fh, path, records, named):
+    """Fill each C-contiguous array of named from its record: the <f8 values
+    pass through one block buffer and are cast into the array."""
+    buffer = np.empty(_IO_BLOCK, dtype="<f8")
+    for name, arr in named.items():
+        fh.seek(records[name][1])
+        flat = arr.reshape(-1)
+        for start in range(0, flat.size, _IO_BLOCK):
+            block = buffer[:min(_IO_BLOCK, flat.size - start)]
+            if fh.readinto(block) != block.nbytes:
                 raise CheckpointError(f"{path}: values of {name!r} cut short while read")
-            named[name] = values.astype(np.float64, copy=False)
+            flat[start:start + block.size] = block
+
+
+def load_named_tensors(path):
+    """Read the container written by save_named_tensors; returns {name:
+    float64 array}. Raises CheckpointError unless it holds whole records with
+    distinct names."""
+    with open(path, "rb") as fh:
+        records = _container_records(fh, path)
+        named = {name: np.empty(extents) for name, (extents, _) in records.items()}
+        _read_values(fh, path, records, named)
     return named
+
+
+def load_named_tensors_into(path, named):
+    """Overwrite the C-contiguous arrays of a {name: array} mapping in place
+    from the container, each in its own dtype (values beyond a float32's range
+    become inf, with NumPy's cast warning unless the caller's errstate
+    silences it). Names, shapes and value lengths are all checked before any
+    array is written, so a CheckpointError leaves every array as it was."""
+    with open(path, "rb") as fh:
+        records = _container_records(fh, path)
+        missing, extra = set(named) - set(records), set(records) - set(named)
+        if missing or extra:
+            raise CheckpointError(f"checkpoint mismatch: missing {sorted(missing)}, "
+                                  f"extra {sorted(extra)}")
+        for name, arr in named.items():
+            if records[name][0] != arr.shape:
+                raise CheckpointError(f"checkpoint tensor {name} has shape {records[name][0]}, "
+                                      f"expected {arr.shape}")
+        _read_values(fh, path, records, named)

@@ -42,6 +42,7 @@ from .events import (
     synth_stream,
 )
 from .feedback import (
+    CUT_POLICIES,
     LR_SCHEDULES,
     ArenaConfig,
     DensityTargetOracle,
@@ -550,7 +551,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--train", nargs="+", required=True, help="path:label list")
     p.add_argument("--test", nargs="+", required=True, help="path:label list")
-    p.add_argument("--policies", default="adaptive,fixed-duration,fixed-count,random")
+    p.add_argument("--policies", default=",".join(CUT_POLICIES))
     p.add_argument("--target-events", type=int64, default=100)
     p.add_argument("--repr", default="frame", **repr_kind)
     p.add_argument("--clf-hidden", type=int64, default=16)

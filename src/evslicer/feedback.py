@@ -144,9 +144,7 @@ class ToyClassifierOracle:
     """
 
     def __init__(self, in_shape, n_classes=2, hidden=16, lr=0.05, seed=0):
-        if hidden < 1 or not 0 < lr < np.inf:
-            raise ValueError(f"classifier needs hidden >= 1 and a finite lr > 0, "
-                             f"got hidden={hidden}, lr={lr}")
+        self.check_settings(hidden, lr)
         rng = np.random.Generator(np.random.PCG64(seed))
         in_features = int(np.prod(in_shape))
         self.n_classes = int(n_classes)
@@ -157,6 +155,13 @@ class ToyClassifierOracle:
         self.w2 = Tensor(rng.normal(0.0, scale2, (n_classes, hidden)), requires_grad=True)
         self.b2 = Tensor(np.zeros(n_classes), requires_grad=True)
         self._opt = SGD([self.w1, self.b1, self.w2, self.b2], lr)
+
+    @staticmethod
+    def check_settings(hidden, lr):
+        """Raise ValueError unless a classifier can be built with these."""
+        if hidden < 1 or not 0 < lr < np.inf:
+            raise ValueError(f"classifier needs hidden >= 1 and a finite lr > 0, "
+                             f"got hidden={hidden}, lr={lr}")
 
     def _prepare(self, rep):
         tensor = rep.tensor if hasattr(rep, "tensor") else np.asarray(rep)
@@ -520,6 +525,16 @@ def replay_alpha(records, alpha0, eta):
 # fixed-vs-adaptive comparison
 # ---------------------------------------------------------------------------
 
+CUT_POLICIES = ("adaptive", "fixed-duration", "fixed-count", "random")
+
+
+def _check_policy(policy, target_events):
+    if policy not in CUT_POLICIES:
+        raise ValueError(f"unknown cut policy {policy!r}")
+    if policy == "fixed-count" and (target_events is None or target_events <= 0):
+        raise ValueError(f"fixed-count policy needs target_events > 0, got {target_events}")
+
+
 def sliced_dataset(net, data, dt_us, policy, *, target_events=None, seed=0,
                    repr_kind="frame", n_bins=5):
     """Render (tensor, label) pairs for every slice of every stream under a
@@ -528,6 +543,7 @@ def sliced_dataset(net, data, dt_us, policy, *, target_events=None, seed=0,
     Empty slices are kept (their tensors are all zeros) — a policy that
     produces them must live with them.
     """
+    _check_policy(policy, target_events)
     out = []
     per_stream = []
     for k, (stream, label) in enumerate(_with_labels(data)):
@@ -539,14 +555,10 @@ def sliced_dataset(net, data, dt_us, policy, *, target_events=None, seed=0,
         elif policy == "fixed-duration":
             cuts = fixed_duration_cuts(len(cells), min(n_slices, len(cells)))
         elif policy == "fixed-count":
-            if target_events is None:
-                raise ValueError("fixed-count policy needs target_events")
             cuts = fixed_count_cuts(cells, target_events)
-        elif policy == "random":
+        else:   # random
             rng = np.random.default_rng(seed + k)
             cuts = random_cuts(len(cells), min(n_slices, len(cells)), rng)
-        else:
-            raise ValueError(f"unknown cut policy {policy!r}")
         decisions = decisions_from_cuts(stream, cells, cuts, repr_kind, n_bins=n_bins)
         per_stream.append(len(decisions))
         out.extend((d.representation.tensor, label) for d in decisions)
@@ -557,7 +569,11 @@ def compare_policies(net, train_data, test_data, dt_us, *, policies=("adaptive",
                      target_events=None, clf_hidden=16, clf_lr=0.05, clf_passes=3,
                      clf_seed=0, repr_kind="frame", seed=0):
     """Train one fresh classifier per cut policy on identically budgeted
-    sliced datasets and report per-slice test accuracy for each policy."""
+    sliced datasets and report per-slice test accuracy for each policy.
+    Every argument is checked before any stream is sliced."""
+    for policy in policies:
+        _check_policy(policy, target_events)
+    ToyClassifierOracle.check_settings(clf_hidden, clf_lr)
     if clf_passes < 0:
         raise ValueError(f"clf_passes must be >= 0, got {clf_passes}")
     results = {}

@@ -139,20 +139,26 @@ def first_spike_index(record):
 # layers
 # ---------------------------------------------------------------------------
 
-def _initial_weight(rng, gain, fan_in, shape):
-    """He-normal values scaled by gain, drawn from rng; zeros for rng None,
-    a net whose checkpoint will fill them."""
-    if rng is None:
-        return Tensor(np.zeros(shape), requires_grad=True)
-    return Tensor(rng.normal(0.0, gain * np.sqrt(2.0 / fan_in), size=shape), requires_grad=True)
+def _initial_weight(rng, gain, fan_in, shape, dtype):
+    """He-normal values scaled by gain, drawn from rng into an array of dtype
+    a block of at most `autodiff._IO_BLOCK` values at a time: the values of
+    one whole float64 draw, narrowed, with no float64 copy of the weight.
+    Zeros for rng None, a net whose checkpoint will fill them."""
+    weight = np.zeros(shape, dtype)
+    if rng is not None:
+        flat, scale = weight.reshape(-1), gain * np.sqrt(2.0 / fan_in)
+        for start in range(0, flat.size, ad._IO_BLOCK):
+            block = flat[start:start + ad._IO_BLOCK]
+            block[...] = rng.normal(0.0, scale, size=block.size)
+    return Tensor(weight, requires_grad=True)
 
 
 class ConvLayer:
-    def __init__(self, name, in_ch, out_ch, k, rng, gain):
+    def __init__(self, name, in_ch, out_ch, k, rng, gain, dtype):
         self.name = name
         self.k = k
-        self.weight = _initial_weight(rng, gain, in_ch * k * k, (out_ch, in_ch, k, k))
-        self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
+        self.weight = _initial_weight(rng, gain, in_ch * k * k, (out_ch, in_ch, k, k), dtype)
+        self.bias = Tensor(np.zeros(out_ch, dtype), requires_grad=True)
 
     def params(self):
         return {f"{self.name}.weight": self.weight, f"{self.name}.bias": self.bias}
@@ -162,11 +168,11 @@ class ConvLayer:
 
 
 class GroupNormLayer:
-    def __init__(self, name, channels, groups):
+    def __init__(self, name, channels, groups, dtype):
         self.name = name
         self.groups = groups
-        self.weight = Tensor(np.ones(channels), requires_grad=True)
-        self.bias = Tensor(np.zeros(channels), requires_grad=True)
+        self.weight = Tensor(np.ones(channels, dtype), requires_grad=True)
+        self.bias = Tensor(np.zeros(channels, dtype), requires_grad=True)
 
     def params(self):
         return {f"{self.name}.weight": self.weight, f"{self.name}.bias": self.bias}
@@ -222,10 +228,10 @@ class AdaptivePoolLayer:
 
 
 class LinearLayer:
-    def __init__(self, name, in_features, out_features, rng, gain):
+    def __init__(self, name, in_features, out_features, rng, gain, dtype):
         self.name = name
-        self.weight = _initial_weight(rng, gain, in_features, (out_features, in_features))
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
+        self.weight = _initial_weight(rng, gain, in_features, (out_features, in_features), dtype)
+        self.bias = Tensor(np.zeros(out_features, dtype), requires_grad=True)
 
     def params(self):
         return {f"{self.name}.weight": self.weight, f"{self.name}.bias": self.bias}
@@ -334,10 +340,11 @@ class SlicerNet:
             for tok in tokens[:-1]:
                 kind, ch, i = tok["kind"], x.shape[1], made[tok["kind"]]
                 if kind == "conv":
-                    layer = ConvLayer(f"conv{i}", ch, tok["out"], tok["k"], rng, self.init_gain)
+                    layer = ConvLayer(f"conv{i}", ch, tok["out"], tok["k"], rng, self.init_gain,
+                                      self.dtype)
                 elif kind == "gn":
                     groups = self.gn_groups if ch % self.gn_groups == 0 else ch
-                    layer = GroupNormLayer(f"gn{i}", ch, groups)
+                    layer = GroupNormLayer(f"gn{i}", ch, groups, self.dtype)
                 elif kind == "spike":
                     layer = SpikeLayer(f"spk{i}", self.neuron)
                 elif kind == "pool":
@@ -346,12 +353,9 @@ class SlicerNet:
                     layer = AdaptivePoolLayer(tok["k"])
                 else:   # linear
                     out_features = 1 if i + 1 == linear_total else self.hidden_units
-                    layer = LinearLayer(f"fc{i}", x.size, out_features, rng, self.init_gain)
+                    layer = LinearLayer(f"fc{i}", x.size, out_features, rng, self.init_gain,
+                                        self.dtype)
                 made[kind] += 1
-                # drawn in float64 whatever the dtype, so both widths start
-                # from the same values
-                for p in layer.params().values():
-                    p.data = p.data.astype(self.dtype, copy=False)
                 self.layers.append(layer)
                 y = layer(x)
                 self.layer_shapes.append((x.shape[1:], y.shape[1:]))
@@ -471,17 +475,8 @@ class SlicerNet:
         return net
 
     def load_parameters(self, path):
-        stored = ad.load_named_tensors(path)
-        own = self.named_parameters()
-        missing = set(own) - set(stored)
-        extra = set(stored) - set(own)
-        if missing or extra:
-            raise CheckpointError(f"checkpoint mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        for name, tensor in own.items():
-            if stored[name].shape != tensor.data.shape:
-                raise CheckpointError(
-                    f"checkpoint tensor {name} has shape {stored[name].shape}, "
-                    f"expected {tensor.data.shape}"
-                )
-            with np.errstate(**OVERFLOW_SILENT):
-                tensor.data = stored[name].astype(self.dtype, copy=False)
+        """Overwrite every parameter in place from a checkpoint of the same
+        layout; a CheckpointError leaves all of them as they were."""
+        with np.errstate(**OVERFLOW_SILENT):
+            ad.load_named_tensors_into(path, {name: p.data
+                                              for name, p in self.named_parameters().items()})

@@ -435,6 +435,33 @@ class TestComparisonScaffold:
         with pytest.raises(ValueError, match="target_events"):
             sliced_dataset(net, self.make_data(1, 0), 100, "fixed-count")
 
+    @pytest.mark.parametrize("change, match", [
+        (dict(policies=("adaptive", "bogus")), "unknown cut policy 'bogus'"),
+        (dict(policies=("adaptive", "")), "unknown cut policy ''"),
+        (dict(policies=("adaptive", "fixed-count")), r"target_events > 0, got None"),
+        (dict(policies=("fixed-count",), target_events=0), r"target_events > 0, got 0"),
+        (dict(clf_hidden=0), "hidden=0"),
+        (dict(clf_lr=float("nan")), "lr=nan"),
+        (dict(clf_lr=0.0), "lr=0.0"),
+        (dict(clf_passes=-1), "clf_passes"),
+    ])
+    def test_compare_policies_checks_every_argument_before_slicing(self, monkeypatch, change,
+                                                                   match):
+        """A refused argument, wherever it sits in the policy list, is refused
+        before the slicing net has forwarded a single cell."""
+        net = build_arena_net(ArenaConfig(arch="LN-IF", in_hw=(8, 8), seed=0))
+        forwards = []
+        forward = net.forward
+        monkeypatch.setattr(net, "forward", lambda *a, **k: forwards.append(1) or forward(*a, **k))
+        kwargs = dict(policies=("adaptive", "fixed-duration"), target_events=None, clf_hidden=4,
+                      clf_passes=1)
+        with pytest.raises(ValueError, match=match):
+            compare_policies(net, self.make_data(2, 20), self.make_data(1, 40), 100,
+                             **{**kwargs, **change})
+        assert forwards == []
+        compare_policies(net, self.make_data(2, 20), self.make_data(1, 40), 100, **kwargs)
+        assert forwards    # the count sees the forwards of a run that is not refused
+
     def test_compare_policies_reports_all(self):
         net = build_arena_net(ArenaConfig(arch="LN-IF", in_hw=(8, 8), seed=0))
         train = self.make_data(4, seed0=20)

@@ -1,5 +1,6 @@
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from evslicer import autodiff as ad
 from evslicer.autodiff import CheckpointError, ShapeError, Tensor, load_named_tensors
 from evslicer.energy import profile_network
 from evslicer.snn import (
-    CHUNK, DEFAULT_ARCH, NeuronConfig, SlicerNet, first_spike_index,
+    CHUNK, DEFAULT_ARCH, NeuronConfig, SlicerNet, _initial_weight, first_spike_index,
     parse_architecture, run_neuron,
 )
 from evslicer.losses import timing_loss
@@ -537,3 +538,82 @@ def test_checkpoint_mismatch_detected(tmp_path):
     third = SlicerNet("4C3-GN-IF-4C3-GN-IF-AvgP2-LN-IF", in_hw=(8, 8))
     with pytest.raises(ValueError, match="checkpoint mismatch"):
         third.load_parameters(path)
+
+
+def parameter_bytes(net):
+    return {name: p.data.tobytes() for name, p in net.named_parameters().items()}
+
+
+@pytest.mark.parametrize("damage", ["missing", "extra", "shape", "truncated", "garbage"])
+def test_failed_load_leaves_every_parameter_unchanged(tmp_path, damage):
+    """Names, shapes and value lengths are all checked before a parameter is
+    written. Each defect sits at the last record or after it, behind values
+    that a loader writing as it reads would already have copied."""
+    named = {name: p.data for name, p in small_net(seed=13).named_parameters().items()}
+    last = list(named)[-1]
+    if damage == "missing":
+        del named[last]
+    elif damage == "extra":
+        named["zz.weight"] = np.ones(3)
+    elif damage == "shape":
+        named[last] = np.ones(named[last].size + 1)
+    path = tmp_path / "net.sslc"
+    ad.save_named_tensors(path, named)
+    if damage == "truncated":
+        path.write_bytes(path.read_bytes()[:-4])
+    elif damage == "garbage":
+        path.write_bytes(path.read_bytes() + b"\x02\x00\x00\x00zz\x00")
+    net = small_net(seed=4)
+    before = parameter_bytes(net)
+    with pytest.raises(CheckpointError):
+        net.load_parameters(path)
+    assert parameter_bytes(net) == before
+
+
+@pytest.mark.parametrize("make", ["init", "load"])
+def test_init_and_load_hold_one_copy_of_the_parameters(tmp_path, make):
+    """Weights are drawn, and checkpoint values narrowed, into the net's own
+    float32 buffers a block at a time, so no float64 copy of a whole tensor
+    is ever held: the traced peak stays near the parameter bytes."""
+    path = tmp_path / "net.sslc"
+    net = SlicerNet(in_hw=(64, 64))
+    net.save(path)
+    nbytes = sum(p.data.nbytes for p in net.parameters())
+    del net
+    tracemalloc.start()
+    try:
+        net = SlicerNet(in_hw=(64, 64)) if make == "init" else SlicerNet.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * nbytes + 2 ** 20, (peak, nbytes)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shape", [(4, 2, 3, 3), (5, ad._IO_BLOCK // 2 + 5),
+                                   (ad._IO_BLOCK // 8 + 3, 2, 3, 3)])
+def test_block_drawn_weight_equals_one_whole_draw(dtype, shape):
+    """The last two shapes span several blocks, whose edges fall inside a row."""
+    weight = _initial_weight(rng_for(9), 1.5, 18, shape, dtype).data
+    whole = rng_for(9).normal(0.0, 1.5 * np.sqrt(2.0 / 18), size=shape).astype(dtype)
+    assert weight.dtype == dtype and weight.tobytes() == whole.tobytes()
+
+
+def test_value_beyond_float32_loads_as_inf_without_warning(tmp_path):
+    """A stored value outside float32's range narrows to a signed inf, as an
+    overflowing net's numbers do, and no RuntimeWarning is raised (the test
+    configuration turns one into an error)."""
+    net = small_net(seed=13)
+    named = {name: p.data.astype(np.float64) for name, p in net.named_parameters().items()}
+    named["conv0.weight"][0, 0, 0, 0] = 1e300
+    named["fc0.weight"][0, -1] = -1e300
+    path = tmp_path / "net.sslc"
+    ad.save_named_tensors(path, named)
+    net.load_parameters(path)
+    loaded = {name: p.data for name, p in net.named_parameters().items()}
+    assert loaded["conv0.weight"][0, 0, 0, 0] == np.inf
+    assert loaded["fc0.weight"][0, -1] == -np.inf
+    for name, values in named.items():
+        finite = np.abs(values) < 1e300
+        assert loaded[name].dtype == np.float32
+        np.testing.assert_array_equal(loaded[name][finite], values[finite].astype(np.float32))
