@@ -13,21 +13,41 @@ computes, allocates its buffers and hands back gradients in its input's
 dtype, so one code path serves a float32 network body and the float64 parts
 around it; `cast` joins the two. Everything is deterministic: a fixed graph
 construction order fixes the gradient accumulation order, so repeated
-backward passes over a fresh graph reproduce identical bytes. Backward
-closures receive the output gradient as an argument and reference only their
-inputs, keeping the graph acyclic for reference counting. The backward frees
-each node's closure and parents as soon as it has run them, so the saved
-forward buffers and the gradients of nodes nobody holds go as the sweep
-passes, without garbage-collector sweeps. A graph can be back-propagated
-once; a second pass through it raises RuntimeError.
+backward passes over a fresh graph reproduce identical bytes.
 
-A backward reads its inputs' `.data` as it is at backward time: `linear`
-multiplies by its weight's data, `conv2d` gathers its columns again from
-its input's data and `group_norm` recomputes its centred input, instead of
-saving copies. So no one may write into a node's data, or a parameter's,
-between a forward and its backward; `SGD.step` runs after the backward.
+Graph and data are kept apart (as in Paszke et al., "Automatic
+differentiation in PyTorch", 2017):
 
-Layout: every op hands on C-ordered arrays, as node data and as gradients.
+* A `Tensor` holds its `data`, and a tracked op's output also holds its
+  graph node (`Tensor.node`). A leaf, a parameter say, is its own node.
+* A node (`_Node`) holds the gradient, the backward closure, the parent
+  nodes (None for an input that takes no gradient), and the output's dtype
+  and shape, but not its data. So a forward output lives as long as the
+  caller's `Tensor`, or a closure that saved it: a group-norm output or a
+  hidden spike map goes once the next layer has read it.
+* The backward calls each closure with the output gradient and its node's
+  parents. A closure holds only the arrays it saved when the forward ran,
+  never a `Tensor` or a node, which keeps the graph acyclic for reference
+  counting. What each saves: elementwise ops the operands their derivative
+  reads (`exp` its output); `linear` its input's and weight's data;
+  `conv2d` the same; `group_norm` its input, the group means and scales;
+  `spike` its input potentials; `neuron_scan` its potentials only;
+  reshapes, sums, pools, casts, concatenation and gather nothing but
+  shapes and indices.
+
+The backward frees each node's closure and parents as soon as it has run
+them, so the saved forward buffers and the gradients of nodes nobody holds
+go as the sweep passes, without garbage-collector sweeps. A graph can be
+back-propagated once; a second pass through it raises RuntimeError.
+
+A backward reads the arrays it saved as they are at backward time: `linear`
+multiplies by its weight's data, `conv2d` gathers its columns again from its
+input's data and `group_norm` recomputes its centred input, instead of
+saving copies. So no one may write into an op's input data, or a
+parameter's, between a forward and its backward; `SGD.step` runs after the
+backward.
+
+Layout: every op hands on C-ordered arrays, as output data and as gradients.
 BLAS picks its kernel, and so the order in which it sums a product, by the
 layout of its operands, so an F-ordered array (a transposed GEMM result, say)
 passed on would silently change the bits of every later product that reads
@@ -58,7 +78,7 @@ class ShapeError(ValueError):
 _grad_enabled = True
 
 
-def _freed(grad):
+def _freed(grad, *parents):
     """The backward of a node whose graph an earlier backward has freed."""
     raise RuntimeError("backward through a graph that an earlier backward has freed; "
                        "run the forward again to build a new one")
@@ -92,22 +112,62 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-class Tensor:
-    """A numpy float32 or float64 array plus the closure that backpropagates
-    into it. A float32 ndarray stays float32; anything else becomes float64."""
+class _Node:
+    """A tracked op's place in the graph: the gradient that reached it, its
+    backward closure, its parent nodes (None for an input that takes no
+    gradient) and its output's dtype and shape. It holds no forward data."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
+    __slots__ = ("grad", "_backward", "_prev", "dtype", "shape")
+
+    def __init__(self, data, parents):
+        self.grad = None
+        self._backward = None
+        self._prev = parents
+        self.dtype = data.dtype
+        self.shape = data.shape
+
+
+class Tensor:
+    """A numpy float32 or float64 array; a tracked op's output also holds its
+    graph node. A float32 ndarray stays float32; anything else becomes
+    float64."""
+
+    __slots__ = ("data", "requires_grad", "_grad", "_node")
+
+    # A leaf is its own graph node: no parents, no backward.
+    _prev = ()
+    _backward = None
 
     def __init__(self, data, requires_grad=False):
         if not (type(data) is np.ndarray and data.dtype == np.float32):
             data = np.asarray(data, dtype=np.float64)
         self.data = data
         self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._backward = None
-        self._prev = ()
+        self._grad = None
+        self._node = None
 
     # -- basic introspection -------------------------------------------------
+
+    @property
+    def node(self):
+        """The tensor's graph node: its op's, or the tensor itself for a leaf."""
+        return self if self._node is None else self._node
+
+    @property
+    def grad(self):
+        """The gradient the last backward left at this tensor's node."""
+        return self._grad if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._node is None:
+            self._grad = value
+        else:
+            self._node.grad = value
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     @property
     def shape(self):
@@ -180,25 +240,27 @@ class Tensor:
     def backward(self):
         """Reverse-mode sweep from a scalar loss.
 
-        Builds the topologically ordered tape with an iterative post-order
-        walk (training graphs can unroll to thousands of nodes, beyond
-        Python's recursion limit) and pops it from the end. A node that no
-        gradient reached is skipped: its backward could only pass zeros on.
+        Builds the topologically ordered tape of nodes with an iterative
+        post-order walk (training graphs can unroll to thousands of nodes,
+        beyond Python's recursion limit) and pops it from the end. A node
+        that no gradient reached is skipped: its backward could only pass
+        zeros on.
 
         Each non-leaf node is freed as soon as its turn has passed: it drops
         its parents and its backward closure, and with them the forward
-        buffers the closure saved. A node still held elsewhere keeps its data
-        and `.grad`. So a graph can be back-propagated once: a second
-        backward that reaches a freed node, from the same loss or from a new
-        one built on it, raises RuntimeError.
+        buffers the closure saved. A node still held elsewhere keeps its
+        `.grad`. So a graph can be back-propagated once: a second backward
+        that reaches a freed node, from the same loss or from a new one built
+        on it, raises RuntimeError.
         """
         if self.data.size != 1:
             raise ShapeError(
                 f"backward() needs a scalar loss, got shape {self.data.shape}"
             )
+        root = self.node
         tape = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -209,9 +271,9 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._prev:
-                if id(parent) not in seen:
+                if parent is not None and id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while tape:
             # popped, so the tape no longer holds the nodes already done
             node = tape.pop()
@@ -221,7 +283,7 @@ class Tensor:
                 # read-only while its backward runs, so that _accum copies
                 # it if the backward hands it on unchanged
                 node.grad.flags.writeable = False
-                node._backward(node.grad)
+                node._backward(node.grad, *node._prev)
                 node.grad.flags.writeable = True
             node._prev = ()
             node._backward = _freed
@@ -231,27 +293,34 @@ def _as_tensor(value):
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _node(data, inputs):
-    """Create an op output: tracked iff grad is enabled and any input is."""
-    tracked = _grad_enabled and any(t.requires_grad for t in inputs)
-    out = Tensor(data, requires_grad=tracked)
-    if tracked:
-        out._prev = tuple(inputs)
+def _output(data, inputs):
+    """Create an op output: tracked iff grad is enabled and any input is. A
+    tracked output gets a node whose parents are its inputs' nodes, None for
+    an input that takes no gradient; the backward hands them to the op's
+    closure as arguments, in the order of `inputs`."""
+    out = Tensor(data)
+    if _grad_enabled:
+        parents = ()
+        for t in inputs:    # a leaf is its own node; a loop costs less than a comprehension
+            parents += (t._node or t if t.requires_grad else None,)
+        if parents.count(None) < len(parents):
+            out.requires_grad = True
+            out._node = _Node(out.data, parents)
     return out
 
 
-def _accum(tensor, grad):
-    """Add grad into tensor.grad, which is kept in the tensor's own dtype."""
-    dtype = tensor.data.dtype
-    if tensor.grad is None:
+def _accum(node, grad):
+    """Add grad into node.grad, which is kept in the node's own dtype."""
+    dtype = node.dtype
+    if node.grad is None:
         # A first gradient the backward has just allocated is stored as it
         # is. A view, or a node's own gradient handed on unchanged (add gives
         # it to both inputs), is copied, so that every stored grad owns its
-        # buffer and adding into it changes no other tensor's grad.
+        # buffer and adding into it changes no other node's grad.
         fresh = grad.flags.owndata and grad.flags.writeable and grad.dtype == dtype
-        tensor.grad = grad if fresh else np.array(grad, dtype=dtype)
+        node.grad = grad if fresh else np.array(grad, dtype=dtype)
     else:
-        tensor.grad += grad
+        node.grad += grad
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +333,21 @@ def add(a, b):
         c = float(b)
         if c == 0.0:
             return a
-        out = _node(a.data + c, (a,))
+        out = _output(a.data + c, (a,))
         if out.requires_grad:
-            def _bw(g):
-                _accum(a, g)
-            out._backward = _bw
+            def _bw(g, na):
+                _accum(na, g)
+            out._node._backward = _bw
         return out
     a = _as_tensor(a)
-    out = _node(a.data + b.data, (a, b))
+    out = _output(a.data + b.data, (a, b))
     if out.requires_grad:
-        def _bw(g):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g, b.data.shape))
-        out._backward = _bw
+        def _bw(g, na, nb):
+            if na is not None:
+                _accum(na, _unbroadcast(g, na.shape))
+            if nb is not None:
+                _accum(nb, _unbroadcast(g, nb.shape))
+        out._node._backward = _bw
     return out
 
 
@@ -288,62 +357,62 @@ def mul(a, b):
         c = float(b)
         if c == 1.0:
             return a
-        out = _node(a.data * c, (a,))
+        out = _output(a.data * c, (a,))
         if out.requires_grad:
-            def _bw(g):
-                _accum(a, g * c)
-            out._backward = _bw
+            def _bw(g, na):
+                _accum(na, g * c)
+            out._node._backward = _bw
         return out
     a = _as_tensor(a)
     a_data, b_data = a.data, b.data
-    out = _node(a_data * b_data, (a, b))
+    out = _output(a_data * b_data, (a, b))
     if out.requires_grad:
-        def _bw(g):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g * b_data, a_data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g * a_data, b_data.shape))
-        out._backward = _bw
+        def _bw(g, na, nb):
+            if na is not None:
+                _accum(na, _unbroadcast(g * b_data, a_data.shape))
+            if nb is not None:
+                _accum(nb, _unbroadcast(g * a_data, b_data.shape))
+        out._node._backward = _bw
     return out
 
 
 def neg(a):
-    out = _node(-a.data, (a,))
+    out = _output(-a.data, (a,))
     if out.requires_grad:
-        def _bw(g):
-            _accum(a, -g)
-        out._backward = _bw
+        def _bw(g, na):
+            _accum(na, -g)
+        out._node._backward = _bw
     return out
 
 
 def power(a, exponent):
     e = float(exponent)
     a_data = a.data
-    out = _node(a_data ** e, (a,))
+    out = _output(a_data ** e, (a,))
     if out.requires_grad:
-        def _bw(g):
-            _accum(a, g * e * a_data ** (e - 1.0))
-        out._backward = _bw
+        def _bw(g, na):
+            _accum(na, g * e * a_data ** (e - 1.0))
+        out._node._backward = _bw
     return out
 
 
 def exp(a):
     data = np.exp(a.data)
-    out = _node(data, (a,))
+    out = _output(data, (a,))
     if out.requires_grad:
-        def _bw(g):
-            _accum(a, g * data)
-        out._backward = _bw
+        def _bw(g, na):
+            _accum(na, g * data)
+        out._node._backward = _bw
     return out
 
 
 def log(a):
     a_data = a.data
-    out = _node(np.log(a_data), (a,))
+    out = _output(np.log(a_data), (a,))
     if out.requires_grad:
-        def _bw(g):
-            _accum(a, g / a_data)
-        out._backward = _bw
+        def _bw(g, na):
+            _accum(na, g / a_data)
+        out._node._backward = _bw
     return out
 
 
@@ -352,28 +421,23 @@ def log(a):
 # ---------------------------------------------------------------------------
 
 def reshape(a, shape):
-    out = _node(a.data.reshape(shape), (a,))
+    out = _output(a.data.reshape(shape), (a,))
     if out.requires_grad:
-        a_shape = a.data.shape
-
-        def _bw(g):
-            _accum(a, g.reshape(a_shape))
-        out._backward = _bw
+        def _bw(g, na):
+            _accum(na, g.reshape(na.shape))
+        out._node._backward = _bw
     return out
 
 
 def tensor_sum(a, axis=None, keepdims=False):
-    out = _node(a.data.sum(axis=axis, keepdims=keepdims), (a,))
+    out = _output(a.data.sum(axis=axis, keepdims=keepdims), (a,))
     if out.requires_grad:
-        a_shape = a.data.shape
-        a_ndim = a.data.ndim
-
-        def _bw(g):
+        def _bw(g, na):
             if axis is not None and not keepdims:
                 axes = axis if isinstance(axis, tuple) else (axis,)
-                g = np.expand_dims(g, tuple(ax % a_ndim for ax in axes))
-            _accum(a, np.broadcast_to(g, a_shape))
-        out._backward = _bw
+                g = np.expand_dims(g, tuple(ax % len(na.shape) for ax in axes))
+            _accum(na, np.broadcast_to(g, na.shape))
+        out._node._backward = _bw
     return out
 
 
@@ -386,30 +450,28 @@ def concat(tensors):
         return tensors[0]
     if not tensors:
         return Tensor(np.zeros(0))
-    out = _node(np.concatenate([t.data for t in tensors]), tensors)
+    out = _output(np.concatenate([t.data for t in tensors]), tensors)
     if out.requires_grad:
-        bounds = np.cumsum([0] + [t.data.shape[0] for t in tensors])
+        bounds = np.cumsum([0] + [t.shape[0] for t in tensors])
 
-        def _bw(g):
-            for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:]):
+        def _bw(g, *parts):
+            for node, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
                 part = g[lo:hi]
-                if t.requires_grad and part.any():
-                    _accum(t, part)
-        out._backward = _bw
+                if node is not None and part.any():
+                    _accum(node, part)
+        out._node._backward = _bw
     return out
 
 
 def gather(a, index):
     """a[index] for an integer or integer array index into the leading axis."""
-    out = _node(a.data[index], (a,))
+    out = _output(a.data[index], (a,))
     if out.requires_grad:
-        a_shape = a.data.shape
-
-        def _bw(g):
-            full = np.zeros(a_shape, dtype=a.data.dtype)
+        def _bw(g, na):
+            full = np.zeros(na.shape, dtype=na.dtype)
             np.add.at(full, index, g)
-            _accum(a, full)
-        out._backward = _bw
+            _accum(na, full)
+        out._node._backward = _bw
     return out
 
 
@@ -418,11 +480,11 @@ def cast(a, dtype):
     hands the gradient back in a's dtype."""
     if a.data.dtype == dtype:
         return a
-    out = _node(a.data.astype(dtype), (a,))
+    out = _output(a.data.astype(dtype), (a,))
     if out.requires_grad:
-        def _bw(g):
-            _accum(a, g)
-        out._backward = _bw
+        def _bw(g, na):
+            _accum(na, g)
+        out._node._backward = _bw
     return out
 
 
@@ -468,16 +530,16 @@ def linear(x, weight, bias=None, rows=None):
     y = y[:m]
     if bias is not None:
         y += bias.data
-    out = _node(y, inputs)
+    out = _output(y, inputs)
     if out.requires_grad:
-        def _bw(g):
-            if x.requires_grad:
-                _accum(x, g @ w_data)
-            if weight.requires_grad:
-                _accum(weight, g.T @ x_data)
-            if bias is not None and bias.requires_grad:
-                _accum(bias, g.sum(axis=0))
-        out._backward = _bw
+        def _bw(g, nx, nw, nb=None):
+            if nx is not None:
+                _accum(nx, g @ w_data)
+            if nw is not None:
+                _accum(nw, g.T @ x_data)
+            if nb is not None:
+                _accum(nb, g.sum(axis=0))
+        out._node._backward = _bw
     return out
 
 
@@ -570,9 +632,9 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     Neural Networks for Document Processing", 2006); `_im2col` gathers the
     columns without a zero-padded copy of the input. The backward saves the
     input's data, kh*kw times smaller than the columns, instead of the
-    columns: it gathers them again only when the weight takes a gradient,
-    and scatters the input gradient on a row-pitched buffer
-    (`_conv_input_grad`).
+    columns: it scatters the input gradient on a row-pitched buffer
+    (`_conv_input_grad`) first, and only then, when the weight takes a
+    gradient, gathers the columns again, so the two never coexist.
     """
     if stride != 1:
         raise ValueError(f"conv2d supports stride 1 only, got {stride}")
@@ -590,35 +652,36 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     if bias is not None:
         y += bias.data.reshape(1, cout, 1, 1)
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    out = _node(y, inputs)
+    out = _output(y, inputs)
     if out.requires_grad:
         x_data = x.data
         padded_shape = (n, cin, h + 2 * padding, w + 2 * padding)
-        bias_shape = None if bias is None else bias.data.shape
 
-        def _bw(g):
-            gmat = g.reshape(n, cout, oh * ow)
-            if weight.requires_grad:
+        def _bw(g, nx, nw, nb=None):
+            if nx is not None:
+                dpadded = _conv_input_grad(wmat, g, padded_shape, kh, kw)
+                if padding:
+                    dpadded = dpadded[:, :, padding:-padding, padding:-padding]
+                _accum(nx, dpadded)
+                del dpadded     # the padded buffer, before the columns come
+            if nb is not None:
+                _accum(nb, g.sum(axis=(0, 2, 3)).reshape(nb.shape))
+            if nw is not None:
                 # the columns as gathered times the transposed gradient, the
                 # same sums as gmat @ cols.T but faster; transposed back
                 # into a C-ordered array
                 cols = _im2col(x_data, kh, kw, padding)[0]
-                dw = np.matmul(cols, gmat.transpose(0, 2, 1)).sum(axis=0)
-                _accum(weight, np.ascontiguousarray(dw.T).reshape(cout, cin_w, kh, kw))
-            if bias is not None and bias.requires_grad:
-                _accum(bias, g.sum(axis=(0, 2, 3)).reshape(bias_shape))
-            if x.requires_grad:
-                dpadded = _conv_input_grad(wmat, g, padded_shape, kh, kw)
-                if padding:
-                    dpadded = dpadded[:, :, padding:-padding, padding:-padding]
-                _accum(x, dpadded)
-        out._backward = _bw
+                dw = np.matmul(cols, g.reshape(n, cout, oh * ow).transpose(0, 2, 1)).sum(axis=0)
+                _accum(nw, np.ascontiguousarray(dw.T).reshape(cout, cin_w, kh, kw))
+        out._node._backward = _bw
     return out
 
 
 def _block_mean(x, data, kh, kw):
-    """Node of the kh x kw block means of data, x's values zero-padded on the
-    high side to extents that kh and kw divide.
+    """Output of the kh x kw block means of data, x's values zero-padded on
+    the high side to extents that kh and kw divide. The backward saves
+    neither: with x a hidden layer's spikes, the spike map goes as soon as
+    the pooling has read it.
 
     The block sums add strided views of data, row first: the kw neighbours
     along the contiguous axis over every row at once, then the kh rows of
@@ -636,20 +699,21 @@ def _block_mean(x, data, kh, kw):
     total = rows[:, :, 0::kh]
     for i in range(1, kh):
         total = total + rows[:, :, i::kh]
-    out = _node(total / (kh * kw), (x,))
+    out = _output(total / (kh * kw), (x,))
     if out.requires_grad:
-        h, w = x.data.shape[2:]
+        h, w = x.shape[2:]
+        dtype = data.dtype
 
-        def _bw(g):
+        def _bw(g, nx):
             # kh*kw strided writes: filling a 6-d broadcast view whose inner
             # extent is kw ran 3-4x slower
             g = g * (1.0 / (kh * kw))
-            full = np.empty((n, c, hp, wp), dtype=data.dtype)
+            full = np.empty((n, c, hp, wp), dtype=dtype)
             for i in range(kh):
                 for j in range(kw):
                     full[:, :, i::kh, j::kw] = g
-            _accum(x, full if (h, w) == (hp, wp) else full[:, :, :h, :w])
-        out._backward = _bw
+            _accum(nx, full if (h, w) == (hp, wp) else full[:, :, :h, :w])
+        out._node._backward = _bw
     return out
 
 
@@ -694,18 +758,16 @@ def _partition_mean(x, th, tw):
     for i in range(th):
         for j in range(tw):
             y[:, :, i, j] = x.data[:, :, hb[i]:hb[i + 1], wb[j]:wb[j + 1]].mean(axis=(2, 3))
-    out = _node(y, (x,))
+    out = _output(y, (x,))
     if out.requires_grad:
-        x_shape = x.data.shape
-
-        def _bw(g):
-            dx = np.zeros(x_shape, dtype=x.data.dtype)
+        def _bw(g, nx):
+            dx = np.zeros(nx.shape, dtype=nx.dtype)
             for i in range(th):
                 for j in range(tw):
                     blk = 1.0 / ((hb[i + 1] - hb[i]) * (wb[j + 1] - wb[j]))
                     dx[:, :, hb[i]:hb[i + 1], wb[j]:wb[j + 1]] += g[:, :, i, j, None, None] * blk
-            _accum(x, dx)
-        out._backward = _bw
+            _accum(nx, dx)
+        out._node._backward = _bw
     return out
 
 
@@ -755,27 +817,27 @@ def group_norm(x, groups, weight, bias, eps=1e-5):
     y = centered.reshape(n, c, hw)
     y *= scale
     y += bias.data.reshape(1, c, 1)
-    out = _node(y.reshape(n, c, h, w), (x, weight, bias))
+    out = _output(y.reshape(n, c, h, w), (x, weight, bias))
     if out.requires_grad:
-        def _bw(g):
+        def _bw(g, nx, nw, nb):
             centered = xg - mu
             g_c = g.reshape(n, c, hw)
             s1 = _dots(g_c, np.ones(hw, dtype=g.dtype)).reshape(n, groups, per)
             s2 = _dots(g_c, centered.reshape(n, c, hw)).reshape(n, groups, per)
-            if weight.requires_grad:
+            if nw is not None:
                 # sum(g*xhat) = inv * sum(g*centered)
-                _accum(weight, (s2 * inv).sum(axis=0).reshape(weight.data.shape))
-            if bias.requires_grad:
-                _accum(bias, s1.sum(axis=0).reshape(bias.data.shape))
-            if x.requires_grad:
+                _accum(nw, (s2 * inv).sum(axis=0).reshape(nw.shape))
+            if nb is not None:
+                _accum(nb, s1.sum(axis=0).reshape(nb.shape))
+            if nx is not None:
                 m1 = (s1 * w_g).sum(axis=2, keepdims=True) / size
                 m2 = inv * (s2 * w_g).sum(axis=2, keepdims=True) / size
                 t = np.multiply(centered, -inv * inv * m2, out=centered)
                 t += -inv * m1
                 dx = g_c * scale
                 dx += t.reshape(n, c, hw)
-                _accum(x, dx.reshape(n, c, h, w))
-        out._backward = _bw
+                _accum(nx, dx.reshape(n, c, h, w))
+        out._node._backward = _bw
     return out
 
 
@@ -783,11 +845,20 @@ def group_norm(x, groups, weight, bias, eps=1e-5):
 # step activation with rectangular surrogate, and the neuron scan
 # ---------------------------------------------------------------------------
 
-def _fire(v, v_th, window, relaxed):
-    """Spike values of potentials v: an exact step, or the relaxed ramp."""
+def _fire(v, v_th, window, relaxed, out=None):
+    """Spike values of potentials v, an exact step or the relaxed ramp
+    clip((v - v_th) / (2 * window) + 0.5, 0, 1), written into `out` (a new
+    array of v's dtype if None) one ufunc at a time."""
+    if out is None:
+        out = np.empty_like(v)
     if relaxed:
-        return np.clip((v - v_th) / (2.0 * window) + 0.5, 0.0, 1.0)
-    return (v >= v_th).astype(v.dtype)
+        np.subtract(v, v_th, out=out)
+        np.divide(out, 2.0 * window, out=out)
+        np.add(out, 0.5, out=out)
+        np.clip(out, 0.0, 1.0, out=out)
+    else:
+        np.greater_equal(v, v_th, out=out)
+    return out
 
 
 def _fire_float(v, v_th, window, relaxed):
@@ -800,8 +871,14 @@ def _fire_float(v, v_th, window, relaxed):
 
 def _surrogate(v, v_th, window):
     """The spike's backward derivative: 1/(2*window) where |v - v_th| <= window,
-    in v's dtype."""
-    return (np.abs(v - v_th) <= window) * (v.dtype.type(1.0) / v.dtype.type(2.0 * window))
+    in a new array of v's dtype. The mask is formed as 1.0 or 0.0 in that
+    array, so it takes the same bytes as the bool mask times 1/(2*window)."""
+    out = np.empty_like(v)
+    np.subtract(v, v_th, out=out)
+    np.abs(out, out=out)
+    np.less_equal(out, window, out=out)
+    np.multiply(out, v.dtype.type(1.0) / v.dtype.type(2.0 * window), out=out)
+    return out
 
 
 def spike(v, v_th=1.0, window=0.5, relaxed=False):
@@ -818,11 +895,11 @@ def spike(v, v_th=1.0, window=0.5, relaxed=False):
     if window <= 0:
         raise ShapeError(f"spike surrogate window must be positive, got {window}")
     v_data = v.data
-    out = _node(_fire(v_data, v_th, window, relaxed), (v,))
+    out = _output(_fire(v_data, v_th, window, relaxed), (v,))
     if out.requires_grad:
-        def _bw(g):
-            _accum(v, g * _surrogate(v_data, v_th, window))
-        out._backward = _bw
+        def _bw(g, nv):
+            _accum(nv, g * _surrogate(v_data, v_th, window))
+        out._node._backward = _bw
     return out
 
 
@@ -860,25 +937,19 @@ def _scan_rows(drive, v, neuron, reset, relaxed):
         if not reset:
             v = p
             continue
-        s = spikes[t]
+        s = _fire(p, v_th, window, relaxed, out=spikes[t])
         if relaxed:
-            # s = clip((p - v_th) / (2 * window) + 0.5, 0, 1)
-            np.subtract(p, v_th, out=s)
-            np.divide(s, 2.0 * window, out=s)
-            np.add(s, 0.5, out=s)
-            np.clip(s, 0.0, 1.0, out=s)
             # carried = p * (1 - s) + v_reset * s
             np.subtract(1.0, s, out=factor)
             np.multiply(p, factor, out=carried)
             np.multiply(s, v_reset, out=factor)
             np.add(carried, factor, out=carried)
         else:
-            # s = (p >= v_th); carried = minimum(p, top) * (1 - s) (+ v_reset * s):
-            # v_reset where s fired, p elsewhere, the same values as
+            # carried = minimum(p, top) * (1 - s) (+ v_reset * s): v_reset
+            # where s fired, p elsewhere, the same values as
             # np.where(s > 0, v_reset, p) without its slow masked loop.
             # Clipping to the largest finite value lets +inf reset to
             # v_reset instead of becoming inf * 0 = NaN.
-            np.greater_equal(p, v_th, out=s)
             np.minimum(p, top, out=carried)
             np.subtract(1.0, s, out=factor)
             np.multiply(carried, factor, out=carried)
@@ -912,7 +983,10 @@ def neuron_scan(current, v0, neuron, reset=True, relaxed=False):
         dV[t] = dS[t]*sg[t] + dC[t]*((1 - S[t]) + (v_reset - V[t])*sg[t])
     (without reset, dV[t] = dV_out[t] + dC[t]), dC[t-1] = beta*dV[t],
     dI[t] = gamma*dV[t] and dv0 = beta*dV[0], where dC of the last step is
-    the gradient that reached v_end.
+    the gradient that reached v_end. The node saves the potentials only:
+    the backward recomputes S from them with `_fire`, the array steps' own
+    ufuncs (`_fire_float` gives the float steps the same values), so the
+    spike output lives only as long as the caller's tensor.
 
     Both time loops, forward and reverse, run on one of two kinds of step,
     chosen by the shape of one step. A step of a 1-D float64 drive (the
@@ -954,25 +1028,36 @@ def neuron_scan(current, v0, neuron, reset=True, relaxed=False):
     else:
         potentials, spikes, v = _scan_rows(drive, v, neuron, reset, relaxed)
     inputs = (current,) if v0 is None else (current, v0)
-    out = _node(spikes if reset else potentials, inputs)
-    v_end = _node(np.array(v, dtype=drive.dtype), (out,))
+    out = _output(spikes if reset else potentials, inputs)
+    v_end = _output(np.array(v, dtype=drive.dtype), (out,))
     if not out.requires_grad:
         return out, v_end, potentials
     carry = [None]     # the gradient reaching v_end, handed to out's backward
 
-    def _bw_end(g):
+    def _bw_end(g, n_out):
         carry[0] = g
-        if out.grad is None:
-            out.grad = np.zeros_like(out.data)
-    v_end._backward = _bw_end
+        if n_out.grad is None:
+            n_out.grad = np.zeros(n_out.shape, dtype=n_out.dtype)
+    v_end._node._backward = _bw_end
 
-    def _bw(g):
+    def _bw(g, n_current, n_v0=None):
         if reset:
-            sg = _surrogate(potentials, v_th, window)
-            dv = g * sg
-            through_reset = (1.0 - spikes) + (v_reset - potentials) * sg
+            # sg, then (v_reset - V)*sg, then 1 - S in two block buffers: the
+            # same ufuncs on the same operands as g*sg and
+            # (1 - S) + (v_reset - V)*sg, so the same bytes
+            buf = _surrogate(potentials, v_th, window)
+            dv = g * buf
+            through_reset = np.subtract(v_reset, potentials)
+            through_reset *= buf
+            np.subtract(1.0, _fire(potentials, v_th, window, relaxed, out=buf), out=buf)
+            np.add(buf, through_reset, out=through_reset)
+            del buf
         else:
             dv = np.array(g)
+        # each row step's dC*(factor) goes to one row buffer; a step of one
+        # value keeps NumPy's scalar arithmetic, whose NaN bits the ufuncs
+        # need not match
+        row = np.empty(dv.shape[1:], dtype=dv.dtype) if reset and dv.ndim > 1 else None
         dc = carry[0]
         if floats:
             dv, dc = dv.tolist(), None if dc is None else float(dc)
@@ -980,15 +1065,18 @@ def neuron_scan(current, v0, neuron, reset=True, relaxed=False):
                 through_reset = through_reset.tolist()
         for t in range(len(dv) - 1, -1, -1):
             if dc is not None:
-                dv[t] += dc * through_reset[t] if reset else dc
+                if row is not None:
+                    dv[t] += np.multiply(dc, through_reset[t], out=row)
+                else:
+                    dv[t] += dc * through_reset[t] if reset else dc
             dc = dv[t] if beta == 1.0 else beta * dv[t]
         if floats:
             dv, dc = np.array(dv), None if dc is None else np.float64(dc)
-        if current.requires_grad:
-            _accum(current, dv if gamma == 1.0 else gamma * dv)
-        if v0 is not None and v0.requires_grad:
-            _accum(v0, dc)
-    out._backward = _bw
+        if n_current is not None:
+            _accum(n_current, dv if gamma == 1.0 else gamma * dv)
+        if n_v0 is not None:
+            _accum(n_v0, dc)
+    out._node._backward = _bw
     return out, v_end, potentials
 
 

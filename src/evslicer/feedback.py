@@ -538,27 +538,29 @@ def _check_policy(policy, target_events):
 def sliced_dataset(net, data, dt_us, policy, *, target_events=None, seed=0,
                    repr_kind="frame", n_bins=5):
     """Render (tensor, label) pairs for every slice of every stream under a
-    cut policy. Non-adaptive policies are matched to the adaptive run's
-    slice count per stream, so downstream training budgets stay comparable.
-    Empty slices are kept (their tensors are all zeros) — a policy that
-    produces them must live with them.
+    cut policy. The fixed-duration and random policies are matched to the
+    adaptive run's slice count per stream, so downstream training budgets
+    stay comparable; fixed-count cuts by event count alone and never runs
+    the net. Empty slices are kept (their tensors are all zeros) — a policy
+    that produces them must live with them.
     """
     _check_policy(policy, target_events)
     out = []
     per_stream = []
     for k, (stream, label) in enumerate(_with_labels(data)):
         cells = build_cells(stream, dt_us)
-        adaptive = spike_cuts(net, cells)
-        n_slices = max(1, len(adaptive) + (0 if adaptive and adaptive[-1] == len(cells) - 1 else 1))
-        if policy == "adaptive":
-            cuts = adaptive
-        elif policy == "fixed-duration":
-            cuts = fixed_duration_cuts(len(cells), min(n_slices, len(cells)))
-        elif policy == "fixed-count":
+        if policy == "fixed-count":
             cuts = fixed_count_cuts(cells, target_events)
-        else:   # random
-            rng = np.random.default_rng(seed + k)
-            cuts = random_cuts(len(cells), min(n_slices, len(cells)), rng)
+        else:
+            adaptive = spike_cuts(net, cells)
+            tail = 0 if adaptive and adaptive[-1] == len(cells) - 1 else 1
+            n_slices = min(max(1, len(adaptive) + tail), len(cells))
+            if policy == "adaptive":
+                cuts = adaptive
+            elif policy == "fixed-duration":
+                cuts = fixed_duration_cuts(len(cells), n_slices)
+            else:   # random
+                cuts = random_cuts(len(cells), n_slices, np.random.default_rng(seed + k))
         decisions = decisions_from_cuts(stream, cells, cuts, repr_kind, n_bins=n_bins)
         per_stream.append(len(decisions))
         out.extend((d.representation.tensor, label) for d in decisions)

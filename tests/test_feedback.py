@@ -462,6 +462,18 @@ class TestComparisonScaffold:
         compare_policies(net, self.make_data(2, 20), self.make_data(1, 40), 100, **kwargs)
         assert forwards    # the count sees the forwards of a run that is not refused
 
+    def test_fixed_count_never_runs_the_net(self, monkeypatch):
+        """fixed-count cuts by event count alone: comparing it alone
+        forwards no cell through the slicing net."""
+        net = build_arena_net(ArenaConfig(arch="LN-IF", in_hw=(8, 8), seed=0))
+        forwards = []
+        forward = net.forward
+        monkeypatch.setattr(net, "forward", lambda *a, **k: forwards.append(1) or forward(*a, **k))
+        out = compare_policies(net, self.make_data(2, 20), self.make_data(1, 40), 100,
+                               policies=("fixed-count",), target_events=40, clf_hidden=4,
+                               clf_passes=1)
+        assert forwards == [] and out["fixed-count"]["train_slices"] > 0
+
     def test_compare_policies_reports_all(self):
         net = build_arena_net(ArenaConfig(arch="LN-IF", in_hw=(8, 8), seed=0))
         train = self.make_data(4, seed0=20)

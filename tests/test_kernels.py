@@ -6,8 +6,11 @@ a faster path; it lives only here. The kernels promise the same bits, not
 merely close values: BLAS and numpy sum in an order fixed by shape and
 layout, so equal inputs must give equal bytes.
 """
+import contextlib
 import itertools
+import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -19,7 +22,9 @@ from evslicer import autodiff as ad
 from evslicer.autodiff import Tensor
 from evslicer.losses import timing_loss
 from evslicer.feedback import ArenaConfig, build_arena_net, train_arena
-from evslicer.snn import CHUNK, LinearLayer, NeuronConfig, SlicerNet, SpikeLayer
+from evslicer.snn import (AdaptivePoolLayer, CHUNK, ConvLayer, LinearLayer, NeuronConfig,
+                          PoolLayer, SlicerNet, SpikeLayer)
+from graphs import graph_nodes, run_backward
 
 DTYPES = (np.float32, np.float64)
 
@@ -168,6 +173,53 @@ def test_surrogate_matches_division(dtype, data):
     assert same_bytes(ad._surrogate(v, 1.0, window), want)
 
 
+def old_scan_backward(potentials, spikes, g, dc, cfg, floats):
+    """neuron_scan's reset backward as it was, before it recomputed the
+    spikes and formed its factors in place: (dI, dv0)."""
+    sg = (np.abs(potentials - cfg.v_th) <= cfg.surrogate_window) * (
+        potentials.dtype.type(1.0) / potentials.dtype.type(2.0 * cfg.surrogate_window))
+    dv = g * sg
+    through_reset = (1.0 - spikes) + (cfg.v_reset - potentials) * sg
+    if floats:
+        dv, dc, through_reset = dv.tolist(), float(dc), through_reset.tolist()
+    for t in range(len(dv) - 1, -1, -1):
+        dv[t] += dc * through_reset[t]
+        dc = dv[t] if cfg.beta == 1.0 else cfg.beta * dv[t]
+    if floats:
+        dv, dc = np.array(dv), np.float64(dc)
+    return dv, np.asarray(dc, dtype=potentials.dtype)
+
+
+@pytest.mark.parametrize("relaxed", [False, True], ids=["hard", "relaxed"])
+@pytest.mark.parametrize("v_reset", [0.0, -0.4])
+@given(scan_inputs(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+@example(case=(np.array([[0.5, np.inf, -np.inf, np.nan, 1.0, 1.5, 0.5]] * 3, dtype=np.float32),
+               np.array([0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.4], dtype=np.float32), 0.9, 1.0),
+         seed=1)
+@example(case=(np.array([0.5, np.inf, -np.inf, np.nan]), np.array(0.2), 1.0, 1.0), seed=2)
+def test_scan_backward_matches_out_of_place_form(v_reset, relaxed, case, seed):
+    """The scan's backward, which recomputes the spikes from the potentials
+    and forms sg, (1 - S) + (v_reset - V)*sg and each step's dC*(factor) in
+    reused buffers, gives the bytes of the out-of-place expressions it
+    replaced, for every float (+-inf and NaN included), float32 and float64,
+    exact and relaxed spikes, beta 1 and 0.9, and v_reset 0 and -0.4."""
+    drive, v0, beta, v_th = case
+    cfg = NeuronConfig(beta=beta, v_th=v_th, v_reset=v_reset)
+    r = np.random.default_rng(seed)
+    current, start = Tensor(drive, requires_grad=True), Tensor(v0, requires_grad=True)
+    with np.errstate(all="ignore"):
+        out, v_end, potentials = ad.neuron_scan(current, start, cfg, relaxed=relaxed)
+        g = r.normal(size=drive.shape).astype(drive.dtype)
+        g_end = r.normal(size=v0.shape).astype(drive.dtype)
+        floats = drive.ndim == 1 and drive.dtype == np.float64 and \
+            not np.isnan(sum(drive.tolist(), float(v0)))
+        want = old_scan_backward(potentials, out.data, g, g_end, cfg, floats)
+        run_backward(v_end, g_end)
+        run_backward(out, g)
+    assert same_bytes(current.grad, want[0]) and same_bytes(start.grad, want[1])
+
+
 # ---------------------------------------------------------------------------
 # pooling backward
 # ---------------------------------------------------------------------------
@@ -214,7 +266,7 @@ def test_pool_backward_matches_broadcast_fill(dtype, n, c, h, w, k, seed):
     x = Tensor(r.normal(size=(n, c, h, w)).astype(dtype), requires_grad=True)
     y = ad.avg_pool(x, k)
     g = r.normal(size=y.shape).astype(dtype)
-    y._backward(g)
+    run_backward(y, g)
     oh, ow = y.shape[2:]
     full = np.empty((n, c, oh * k, ow * k), dtype=dtype)
     full.reshape(n, c, oh, k, ow, k)[...] = (g * (1.0 / (k * k)))[:, :, :, None, :, None]
@@ -334,7 +386,7 @@ def test_conv_matches_replaced_forms(dtype, n, cin, cout, hw, seed):
     want = np.matmul(wmat[None], cols).reshape(n, cout, oh, ow) + b.data.reshape(1, cout, 1, 1)
     assert same_bytes(y.data, want)
     g = r.normal(size=y.shape).astype(dtype)
-    y._backward(g)
+    run_backward(y, g)
     gmat = g.reshape(n, cout, oh * ow)
     dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     assert same_bytes(w.grad, dw)
@@ -373,7 +425,7 @@ def test_group_norm_matches_out_of_place_form(dtype, n, channels, hw, seed):
     want = centered.reshape(n, c, -1) * scale + b.data.reshape(1, c, 1)
     assert same_bytes(y.data, want.reshape(x.shape))
     g = r.normal(size=y.shape).astype(dtype)
-    y._backward(g)
+    run_backward(y, g)
     w_col = w.data.reshape(1, c, 1, 1)
     gy, xh = (g * w_col).reshape(n, groups, -1), centered * inv
     m1, m2 = gy.mean(axis=2, keepdims=True), (gy * xh).mean(axis=2, keepdims=True)
@@ -406,11 +458,11 @@ def test_backward_that_raises_leaves_no_weight_gradient():
     def loss():
         return (ad.linear(x, w, rows=CHUNK) * Tensor(coef)).sum()
 
-    def fail(g):
+    def fail(g, *parents):
         raise RuntimeError("backward failed")
 
     failing = loss()
-    failing._prev[0]._backward = fail     # the product with coef, in front of the linear
+    failing.node._prev[0]._backward = fail     # the product with coef, in front of the linear
     with pytest.raises(RuntimeError, match="backward failed"):
         failing.backward()
     assert w.grad is None and x.grad is None
@@ -440,34 +492,38 @@ def test_weight_with_few_outputs_keeps_its_per_block_gradient(dtype):
 # memory layout of the default net
 # ---------------------------------------------------------------------------
 
-def graph_nodes(root):
-    seen, stack, nodes = set(), [root], []
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node._prev)
-    return nodes
-
-
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_default_net_hands_on_c_ordered_arrays(dtype):
-    """Every node's data and gradient in a forward and backward of the
-    default net is C-contiguous: BLAS picks its summation order by operand
-    layout, so an F-ordered array would silently move later bits."""
+    """Every op output's data and every node's gradient in a forward and
+    backward of the default net is C-contiguous: BLAS picks its summation
+    order by operand layout, so an F-ordered array would silently move later
+    bits."""
     net = SlicerNet(dtype=dtype, neuron=NeuronConfig(beta=0.9, v_reset=-0.3), seed=2)
     cells = np.random.default_rng(2).poisson(0.6, size=(2 * CHUNK + 5, 2, 32, 32))
-    record = net.forward(cells.astype(np.float64))
-    loss = timing_loss(record, 2 * CHUNK + 2, 0.5, net.neuron).total
+    with op_outputs() as outputs:
+        record = net.forward(cells.astype(np.float64))
+        loss = timing_loss(record, 2 * CHUNK + 2, 0.5, net.neuron).total
     nodes = graph_nodes(loss)     # before the backward, which frees the graph
     loss.backward()
-    assert len(nodes) > 50
+    assert len(nodes) > 50 and len(outputs) > 50
+    assert all(out.data.flags.c_contiguous for out in outputs)
     for node in nodes:
-        assert node.data.flags.c_contiguous, node
         if node.grad is not None:
             assert node.grad.flags.c_contiguous, node
     assert all(p.grad.flags.c_contiguous for p in net.parameters())
+
+
+@contextlib.contextmanager
+def op_outputs(op="_output"):
+    """The output tensors of every call of autodiff's `op` while the block
+    runs: by default every op's, or one op's, such as "conv2d"."""
+    made, original = [], getattr(ad, op)
+
+    def record(*args, **kwargs):
+        made.append(original(*args, **kwargs))
+        return made[-1]
+    with mock.patch.object(ad, op, record):
+        yield made
 
 
 def arena_step_on_default_net():
@@ -485,7 +541,7 @@ def test_backward_leaves_no_graph_behind_the_carried_state():
     net, cells = arena_step_on_default_net()
     record = net.forward(cells)
     timing_loss(record, 20, 0.5, net.neuron).total.backward()
-    assert graph_nodes(record.noreset) == [record.noreset]
+    assert graph_nodes(record.noreset) == [record.noreset.node]
     carried = [net.head.u] + [layer.v for layer in net.layers if isinstance(layer, SpikeLayer)]
     assert len(carried) > 2
     for node in carried:
@@ -540,15 +596,18 @@ def test_fc0_weight_gradient_is_one_product_over_the_rows_in_time_order(dtype):
     (node,) = [node for node in graph_nodes(loss) if any(p is fc0.weight for p in node._prev)]
     x = node._prev[0]
     assert x.shape[0] == n
+    (x_data,) = [a for a in closure_arrays(node._backward) if a.shape == x.shape]
     loss.backward()
     assert node.grad.any()
-    assert same_bytes(fc0.weight.grad, node.grad.T @ x.data)
+    assert same_bytes(fc0.weight.grad, node.grad.T @ x_data)
 
 
 def test_backward_frees_the_forward_buffers():
-    """With the record and the loss still held, the heap after the backward
-    is a small part of the forward's: what is left is the parameters'
-    gradients, not the graph's saved buffers."""
+    """With the record and the loss still held, what the heap holds after
+    the backward is the parameters' gradients and less than a twentieth of
+    the forward's heap besides: not the graph's saved buffers, nor the
+    spike maps of the last block, which the carried potentials used to pin
+    (0.95 MB of a 15.7 MB forward, when graph nodes held their data)."""
     net, cells = arena_step_on_default_net()
     tracemalloc.start()
     try:
@@ -559,7 +618,8 @@ def test_backward_frees_the_forward_buffers():
         after_backward = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert after_backward < after_forward / 4, (after_forward, after_backward)
+    grads = sum(p.grad.nbytes for p in net.parameters())
+    assert after_backward - grads < after_forward / 20, (after_forward, after_backward, grads)
     assert record.noreset.grad is not None and loss.grad is not None
 
 
@@ -574,15 +634,18 @@ def test_graph_saves_neither_conv_columns_nor_centred_groups():
     an array the size of its im2col columns, and no group_norm backward a
     full-size array other than a view of its input's data: both are rebuilt
     in the backward. The heap live after the forward is under 18 MB (26.7 MB
-    when the graph saved them)."""
+    when the graph saved them). Holding the conv outputs costs nothing: the
+    group norms read them in their backward."""
     net, cells = arena_step_on_default_net()
     tracemalloc.start()
     try:
-        record = net.forward(cells)
+        with op_outputs("conv2d") as convs:
+            record = net.forward(cells)
         loss = timing_loss(record, 20, 0.5, net.neuron).total
         after_forward = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    conv_data = {id(out.node): out.data for out in convs}
     ops = {"conv2d": [], "group_norm": []}
     for node in graph_nodes(loss):
         op = getattr(node._backward, "__qualname__", "").split(".")[0]
@@ -591,13 +654,78 @@ def test_graph_saves_neither_conv_columns_nor_centred_groups():
     assert len(ops["conv2d"]) == len(ops["group_norm"]) == 3 * -(-len(cells) // CHUNK)
     for node in ops["conv2d"]:
         cout = node.shape[1]
-        n_cols = node.data.size // cout * (node._prev[1].data.size // cout)
+        n_cols = math.prod(node.shape) // cout * (math.prod(node._prev[1].shape) // cout)
         assert all(a.size < n_cols for a in closure_arrays(node._backward))
     for node in ops["group_norm"]:
-        x_data = node._prev[0].data
+        x_data = conv_data[id(node._prev[0])]
         full = [a for a in closure_arrays(node._backward) if a.size >= x_data.size]
         assert full and all(np.shares_memory(a, x_data) for a in full)
     assert after_forward < 18e6, after_forward
+
+
+def test_graph_holds_its_saved_inputs_and_potentials_only():
+    """After the default net's 30-cell training forward the heap holds at
+    most 1.1 times the bytes the backward needs: the conv outputs (read by
+    group norm), the hidden potentials (by the scans), the pool outputs
+    (by the convs and fc0) and the input blocks (by conv0). Group-norm
+    outputs and spike maps are not among them (15.7 MB held, 1.96 times
+    these bytes, when graph nodes held their data)."""
+    net, cells = arena_step_on_default_net()
+    itemsize = np.dtype(net.dtype).itemsize
+    saved = (ConvLayer, SpikeLayer, PoolLayer, AdaptivePoolLayer)
+    per_cell = math.prod(net.layer_shapes[0][0]) + sum(
+        math.prod(out) for layer, (_, out) in zip(net.layers, net.layer_shapes)
+        if isinstance(layer, saved))
+    tracemalloc.start()
+    try:
+        record = net.forward(cells)
+        loss = timing_loss(record, 20, 0.5, net.neuron).total
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    need = per_cell * len(cells) * itemsize
+    assert loss.requires_grad and held <= 1.1 * need, (held, need)
+
+
+def dead_after_forward(op, keep):
+    """Patch autodiff's `op` to record a weak reference to the array that
+    owns the data of each tracked output for which keep(output, kwargs)
+    holds."""
+    refs, original = [], getattr(ad, op)
+
+    def record(*args, **kwargs):
+        result = original(*args, **kwargs)
+        out = result[0] if isinstance(result, tuple) else result
+        if out.requires_grad and keep(out, kwargs):
+            refs.append(weakref.ref(out.data if out.data.base is None else out.data.base))
+        return result
+    return refs, mock.patch.object(ad, op, record)
+
+
+def test_group_norm_outputs_and_spike_maps_go_with_the_forward():
+    """Once the forward has returned, with its graph still alive, every
+    group-norm output and every spike map of the spatial stack has been
+    freed: no node and no closure holds them. (The flat tail's spikes are
+    fc1's input, which its backward reads.) The backward then gives the
+    parameters the same gradient bytes as a run whose caller keeps every op
+    output."""
+    grads = []
+    for keep in (False, True):
+        net, cells = arena_step_on_default_net()
+        norms, patch_norms = dead_after_forward("group_norm", lambda out, kwargs: True)
+        spikes, patch_spikes = dead_after_forward(
+            "neuron_scan", lambda out, kwargs: out.ndim == 4 and kwargs.get("reset", True))
+        with patch_norms, patch_spikes, \
+                (op_outputs() if keep else contextlib.nullcontext([])) as kept:
+            record = net.forward(cells)
+        loss = timing_loss(record, 20, 0.5, net.neuron).total
+        blocks = -(-len(cells) // CHUNK)
+        assert len(norms) == len(spikes) == 3 * blocks
+        assert [ref() is not None for ref in norms + spikes] == [keep] * (6 * blocks)
+        assert bool(kept) == keep
+        loss.backward()
+        grads.append([p.grad.tobytes() for p in net.parameters()])
+    assert grads[0] == grads[1]
 
 
 def group_norm_input_grad(centered, g, weight, eps=1e-5):
@@ -640,13 +768,13 @@ def test_recomputed_buffers_give_the_saved_buffers_bytes(dtype, shared):
     centered = yg - ad._dots(yg, np.ones(yg.shape[2], dtype=dtype)) / yg.shape[2]
     if shared:
         for node in (ad.avg_pool(x), ad.avg_pool(y)):
-            node._backward(r.normal(size=node.shape).astype(dtype))
+            run_backward(node, r.normal(size=node.shape).astype(dtype))
     want_dy = group_norm_input_grad(centered, g := r.normal(size=z.shape).astype(dtype), gamma.data)
     if shared:
         want_dy = y.grad + want_dy
-    z._backward(g)
+    run_backward(z, g)
     assert same_bytes(y.grad, want_dy)
-    y._backward(y.grad)
+    run_backward(y, y.grad)
     dw = np.matmul(cols, y.grad.reshape(n, cout, -1).transpose(0, 2, 1)).sum(axis=0)
     assert same_bytes(w.grad, np.ascontiguousarray(dw.T).reshape(w.shape))
 
@@ -657,5 +785,5 @@ def test_conv_gathers_columns_again_only_for_a_weight_gradient():
     w = Tensor(r.normal(size=(4, 3, 3, 3)))
     y = ad.conv2d(x, w, padding=1)
     with mock.patch.object(ad, "_im2col", wraps=ad._im2col) as im2col:
-        y._backward(np.ones(y.shape))
+        run_backward(y, np.ones(y.shape))
     assert im2col.call_count == 0 and x.grad is not None
